@@ -11,8 +11,9 @@
 //! the facts it actually touches — and hands cached references to all
 //! phases:
 //!
-//! * Tarjan SCCs ([`LoopAnalysis::sccs`]) — one run, shared with the circuit
-//!   enumeration and the backward-edge computation (`O(|V| + |E|)`);
+//! * Tarjan SCCs ([`LoopAnalysis::sccs`]) — one run, shared with the
+//!   cycle-ratio analysis and the backward-edge computation
+//!   (`O(|V| + |E|)`);
 //! * the backward edges of recurrence circuits
 //!   ([`LoopAnalysis::backward_edges`]) — `O(|E|)` given the SCCs;
 //! * the flat dependence-constraint edge list ([`LoopAnalysis::dep_edges`])
@@ -24,9 +25,10 @@
 //!   scheduling hot path (`O(|V| + |E|)`);
 //! * the full and backward-edge-filtered CSR adjacencies
 //!   ([`LoopAnalysis::csr_full`], [`LoopAnalysis::csr_work`]), the
-//!   recurrence-circuit analysis ([`LoopAnalysis::recurrences`], which
-//!   reuses the cached SCCs instead of re-running Tarjan) and the exact
-//!   recurrence-constrained MII ([`LoopAnalysis::rec_mii`]).
+//!   enumeration-free recurrence groups
+//!   ([`LoopAnalysis::recurrence_groups`], which reuse the cached SCCs
+//!   instead of re-running Tarjan) and the exact recurrence-constrained MII
+//!   ([`LoopAnalysis::rec_mii`]).
 //!
 //! The `tarjan_runs_exactly_once` test at the bottom of this file pins the
 //! "Tarjan at most once, however many phases ask" property with an
@@ -54,7 +56,6 @@
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-use crate::circuits::{RecurrenceInfo, DEFAULT_CIRCUIT_BUDGET};
 use crate::cycle_ratio::CycleRatios;
 use crate::dense::Csr;
 use crate::edge::{DepKind, Edge, EdgeId};
@@ -590,7 +591,6 @@ pub struct LoopCore {
     placement: OnceLock<Arc<PlacementCsr>>,
     csr_full: OnceLock<Csr>,
     csr_work: OnceLock<Csr>,
-    rec_info: OnceLock<RecurrenceInfo>,
     ratios: OnceLock<CycleRatios>,
     rec_groups: OnceLock<RecurrenceGroups>,
     rec_mii: OnceLock<Option<u32>>,
@@ -645,20 +645,6 @@ impl LoopCore {
             .get_or_init(|| Csr::filtered(ddg, self.backward_edges(ddg)))
     }
 
-    /// The recurrence-circuit analysis (Johnson's enumeration grouped into
-    /// recurrence subgraphs), reusing the cached SCCs so Tarjan is **not**
-    /// re-run. Exponential in the worst case, bounded by the default
-    /// circuit budget (the result is then marked truncated).
-    ///
-    /// Kept as the differential oracle and legacy fallback; the scheduling
-    /// phases read the enumeration-free [`LoopCore::recurrence_groups`]
-    /// instead.
-    pub fn recurrences(&self, ddg: &Ddg) -> &RecurrenceInfo {
-        self.rec_info.get_or_init(|| {
-            RecurrenceInfo::analyze_with_sccs(ddg, self.sccs(ddg), DEFAULT_CIRCUIT_BUDGET)
-        })
-    }
-
     /// The per-node maximum cycle-ratio analysis
     /// ([`crate::cycle_ratio::CycleRatios`]): for every node, the exact
     /// `RecMII` of the most critical recurrence circuit through it,
@@ -677,18 +663,23 @@ impl LoopCore {
     /// pre-ordering phase.
     ///
     /// With the `verify-recurrence` feature enabled, every analysed loop is
-    /// cross-checked against a (budgeted) circuit enumeration whenever that
-    /// enumeration completes; a hard divergence panics and any multi-edge
-    /// coarsening is counted and logged
-    /// ([`crate::recurrence::coarsening`]).
+    /// cross-checked against a (budgeted) circuit enumeration
+    /// ([`crate::circuits`], built locally from the cached SCCs and never
+    /// stored in the core) whenever that enumeration completes; a hard
+    /// divergence panics and any multi-edge coarsening is counted and
+    /// logged ([`crate::recurrence::coarsening`]).
     pub fn recurrence_groups(&self, ddg: &Ddg) -> &RecurrenceGroups {
         self.rec_groups.get_or_init(|| {
             let groups = RecurrenceGroups::from_cycle_ratios(ddg, self.cycle_ratios(ddg));
             #[cfg(feature = "verify-recurrence")]
             {
-                let oracle = self.recurrences(ddg);
+                let oracle = crate::circuits::RecurrenceInfo::analyze_with_sccs(
+                    ddg,
+                    self.sccs(ddg),
+                    crate::circuits::DEFAULT_CIRCUIT_BUDGET,
+                );
                 if !oracle.truncated {
-                    match crate::recurrence::cross_check(&groups, oracle) {
+                    match crate::recurrence::cross_check(&groups, &oracle) {
                         Err(e) => panic!(
                             "SCC-derived recurrence groups diverged from the \
                              circuit enumeration on `{}`: {e}",
@@ -934,12 +925,6 @@ impl<'a> LoopAnalysis<'a> {
         self.core.csr_work(self.ddg)
     }
 
-    /// The recurrence-circuit analysis oracle (see
-    /// [`LoopCore::recurrences`]).
-    pub fn recurrences(&self) -> &RecurrenceInfo {
-        self.core.recurrences(self.ddg)
-    }
-
     /// The per-node maximum cycle-ratio analysis (see
     /// [`LoopCore::cycle_ratios`]).
     pub fn cycle_ratios(&self) -> &CycleRatios {
@@ -1154,11 +1139,10 @@ mod tests {
             "construction alone must not run Tarjan (everything is lazy)"
         );
         // Exercise every phase that historically re-ran Tarjan: the
-        // recurrence-circuit analysis (both the enumeration-free default
-        // and the Johnson oracle), the backward edges, the work CSR and
-        // the MII computation.
+        // recurrence-circuit analysis (with `verify-recurrence`, its
+        // Johnson oracle too), the backward edges, the work CSR and the MII
+        // computation.
         let _ = la.recurrence_groups();
-        let _ = la.recurrences();
         let _ = la.backward_edges();
         let _ = la.csr_work();
         let _ = la.rec_mii();

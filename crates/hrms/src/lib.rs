@@ -25,21 +25,17 @@
 //! # Dense fast path
 //!
 //! The pre-ordering phase runs on the dense bitset/CSR machinery of
-//! [`hrms_ddg::dense`] (see [`workgraph`]); the original hash-based
-//! implementation is preserved in [`legacy`] and produces byte-identical
-//! results. Building with the `verify-dense` feature cross-checks every
-//! ordering against the legacy path with a debug assertion (CI does this on
-//! the whole test suite).
+//! [`hrms_ddg::dense`] (see [`workgraph`]). Its output is pinned per corpus
+//! loop by golden fingerprints (`tests/golden/preorder_fingerprints.txt`),
+//! frozen from the original hash-based implementation it replaced.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod legacy;
 pub mod preorder;
 pub mod scheduler;
 pub mod workgraph;
 
-pub use legacy::{pre_order_legacy, pre_order_legacy_with, LegacyWorkGraph};
 pub use preorder::{pre_order, pre_order_with, PreOrderOptions, PreOrdering, StartNodePolicy};
 pub use scheduler::{
     phase_split, program_order_scheduler, schedule_at_ii, schedule_at_ii_reference,

@@ -15,9 +15,9 @@
 //! carved out of it, and every `Search_All_Paths` / `Sort_ASAP` /
 //! `Sort_PALA` / reduction step is a word-level operation — restoring the
 //! `O(|V| + |E|)` per-step footprint the paper claims in footnote 2. The
-//! original hash-based implementation is preserved in [`crate::legacy`] and
-//! produces byte-identical results; enabling the `verify-dense` feature
-//! cross-checks every ordering against it with a debug assertion.
+//! golden fingerprints in `tests/golden/preorder_fingerprints.txt` pin the
+//! ordering of every corpus loop to the output of the original hash-based
+//! implementation this path replaced.
 
 use std::collections::HashSet;
 
@@ -71,12 +71,6 @@ pub struct PreOrdering {
     pub components: usize,
     /// Number of (non-trivial) recurrence subgraphs handled with priority.
     pub recurrence_subgraphs: usize,
-    /// Whether the recurrence analysis behind this ordering was truncated
-    /// (its enumeration budget was hit), degrading the recurrence priority.
-    /// Always `false` on the default path — the SCC-derived analysis is
-    /// polynomial and complete by construction; only the preserved legacy
-    /// path (Johnson's enumeration) can report `true`.
-    pub truncated: bool,
     /// Per-node recurrence criticality, indexed by [`NodeId`]: the exact
     /// `RecMII` of the most critical recurrence circuit through each node
     /// (`0` for nodes on no recurrence), from
@@ -106,9 +100,7 @@ pub fn pre_order(la: &LoopAnalysis<'_>) -> PreOrdering {
 pub fn pre_order_with(la: &LoopAnalysis<'_>, options: &PreOrderOptions) -> PreOrdering {
     let ddg = la.ddg();
     // The enumeration-free recurrence analysis: polynomial in the graph
-    // size whatever the density of the SCCs, never truncated. (The legacy
-    // path keeps Johnson's enumeration; the differential suites pin the two
-    // producing identical orderings wherever the enumeration completes.)
+    // size whatever the density of the SCCs, never truncated.
     let rec_info = la.recurrence_groups();
     let simplified = rec_info.simplified_node_lists();
     let bound = ddg.num_nodes();
@@ -217,41 +209,12 @@ pub fn pre_order_with(la: &LoopAnalysis<'_>, options: &PreOrderOptions) -> PreOr
         );
     }
 
-    let result = PreOrdering {
+    PreOrdering {
         order,
         components: num_components,
         recurrence_subgraphs,
-        truncated: false,
         node_criticality: la.cycle_ratios().per_node().to_vec(),
-    };
-
-    // With the `verify-dense` feature on (CI runs the whole suite with it),
-    // every ordering is cross-checked against the preserved legacy
-    // implementation in debug builds. The legacy path still derives its
-    // recurrence subgraphs from Johnson's enumeration, so this doubles as
-    // an end-to-end check of the SCC-derived analysis — byte-equality is
-    // asserted whenever the enumeration completed and the recurrence
-    // cross-check reports the two analyses exactly interchangeable (since
-    // the cycle-ratio pair ranking, that is every reference and generated
-    // corpus loop, interleaved recurrences included; a truncated
-    // enumeration orders from a circuit subset and proves nothing).
-    #[cfg(feature = "verify-dense")]
-    {
-        let oracle = la.recurrences();
-        if !oracle.truncated
-            && hrms_ddg::recurrence::cross_check(rec_info, oracle)
-                .is_ok_and(|report| report.is_exact())
-        {
-            let legacy = crate::legacy::pre_order_legacy_with(ddg, options);
-            debug_assert!(
-                result == legacy,
-                "dense pre-ordering diverged from the legacy implementation on `{}`",
-                ddg.name()
-            );
-        }
     }
-
-    result
 }
 
 /// The backward edges of every recurrence circuit: loop-carried edges whose

@@ -101,17 +101,11 @@ impl HrmsScheduler {
         pre_order_with(&LoopAnalysis::analyze(ddg), &self.options.preorder)
     }
 
-    /// The node order for the scheduling step, plus whether the recurrence
-    /// analysis behind it was truncated (never on the default path — the
-    /// SCC-derived analysis has no enumeration budget; see
-    /// [`PreOrdering::truncated`]).
-    fn node_order(&self, la: &LoopAnalysis<'_>) -> (Vec<NodeId>, bool) {
+    /// The node order for the scheduling step.
+    fn node_order(&self, la: &LoopAnalysis<'_>) -> Vec<NodeId> {
         match self.options.ordering {
-            OrderingMode::HypernodeReduction => {
-                let p = pre_order_with(la, &self.options.preorder);
-                (p.order, p.truncated)
-            }
-            OrderingMode::ProgramOrder => (la.ddg().node_ids().collect(), false),
+            OrderingMode::HypernodeReduction => pre_order_with(la, &self.options.preorder).order,
+            OrderingMode::ProgramOrder => la.ddg().node_ids().collect(),
         }
     }
 }
@@ -144,7 +138,7 @@ impl ModuloScheduler for HrmsScheduler {
         let mii = MiiInfo::compute(machine, &analysis)?;
 
         let order_start = Instant::now();
-        let (order, recurrence_truncated) = self.node_order(&analysis);
+        let order = self.node_order(&analysis);
         let ordering_time = order_start.elapsed();
 
         let max_ii = self.options.config.effective_max_ii(ddg, mii.mii());
@@ -174,8 +168,7 @@ impl ModuloScheduler for HrmsScheduler {
                     attempts,
                     start.elapsed(),
                     ordering_time,
-                )
-                .with_recurrence_truncated(recurrence_truncated));
+                ));
             }
             let fallback =
                 fallback_order.get_or_insert_with(|| earliest_start_order(&analysis, mii.mii()));
@@ -189,8 +182,7 @@ impl ModuloScheduler for HrmsScheduler {
                     attempts,
                     start.elapsed(),
                     ordering_time,
-                )
-                .with_recurrence_truncated(recurrence_truncated));
+                ));
             }
             if ii >= max_ii {
                 return Err(SchedError::NoValidSchedule { max_ii_tried: ii });

@@ -106,9 +106,6 @@ pub fn report_line(
         m.total_lifetime,
         outcome.attempts
     );
-    if outcome.recurrence_truncated {
-        out.push_str(",\"recurrence_truncated\":true");
-    }
     if let Some(trace) = &outcome.feedback {
         out.push_str(",\"feedback\":");
         out.push_str(&trace.to_json());
@@ -254,13 +251,5 @@ mod tests {
              \"machine\":\"govindarajan-4fu\",\"error\":\"boom\\nat line 2\"}"
         );
         assert!(!line.contains('\n'), "one record = one line");
-    }
-
-    #[test]
-    fn truncation_flag_is_surfaced() {
-        let (g, m, outcome) = sample();
-        let outcome = outcome.with_recurrence_truncated(true);
-        let line = report_line(&g, &m, "HRMS", &outcome, ReportOptions::default());
-        assert!(line.contains("\"recurrence_truncated\":true"));
     }
 }

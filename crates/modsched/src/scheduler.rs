@@ -129,13 +129,6 @@ pub struct ScheduleOutcome {
     /// without one); lets the harness reproduce the paper's "ordering is
     /// only 9% of the time" measurement.
     pub ordering_time: Duration,
-    /// Whether the recurrence analysis feeding the scheduler was truncated
-    /// (a circuit-enumeration budget was hit), silently degrading the
-    /// ordering's recurrence priority. Always `false` for schedulers on the
-    /// default enumeration-free recurrence path; surfaced so harnesses can
-    /// flag results whose pre-ordering ran on partial recurrence
-    /// information instead of hiding the degradation.
-    pub recurrence_truncated: bool,
     /// Machine-readable record of the feedback-guided rescheduling run that
     /// produced this schedule; `None` for one-shot schedulers. Attached by
     /// [`crate::feedback::IterativeRescheduler`] and rendered into JSON
@@ -161,17 +154,8 @@ impl ScheduleOutcome {
             attempts,
             elapsed,
             ordering_time,
-            recurrence_truncated: false,
             feedback: None,
         }
-    }
-
-    /// Records whether the recurrence analysis behind this schedule was
-    /// truncated (see [`ScheduleOutcome::recurrence_truncated`]).
-    #[must_use]
-    pub fn with_recurrence_truncated(mut self, truncated: bool) -> Self {
-        self.recurrence_truncated = truncated;
-        self
     }
 
     /// Attaches the trace of the feedback run that produced this schedule

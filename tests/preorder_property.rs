@@ -7,18 +7,15 @@
 //! generator loops — including multi-component and recurrence-heavy
 //! configurations.
 //!
-//! **Legacy retirement, step 1.** Earlier revisions of this suite ran every
-//! loop through both the dense pre-ordering path and the preserved legacy
+//! **Golden pins.** Earlier revisions of this suite ran every loop through
+//! both the dense pre-ordering path and the original hash-based
 //! implementation (Johnson's circuit enumeration) and asserted the two
 //! byte-identical. That equivalence was proven across the whole corpus —
 //! including the interleaved multi-backward-edge loops that used to be the
-//! documented exception — so the runtime comparison is now retired in
-//! favour of golden fingerprint pins: every corpus ordering is hashed into
-//! `tests/golden/preorder_fingerprints.txt`, freezing the
-//! legacy-equivalent output without executing the legacy path. Any
-//! behavioural drift in the dense path fails the pin; the legacy module
-//! itself remains available to the differential suite and the
-//! `verify-dense` feature until retirement completes.
+//! documented exception — and then frozen: every corpus ordering is hashed
+//! into `tests/golden/preorder_fingerprints.txt`, and the original
+//! implementation has since been deleted. Any behavioural drift in the
+//! dense path fails the pin.
 //!
 //! Regenerate the golden file after an *intentional* ordering change with:
 //! `HRMS_BLESS=1 cargo test --test preorder_property`.
@@ -52,7 +49,8 @@ fn fingerprint(p: &PreOrdering) -> u64 {
     }
     eat(p.components as u64);
     eat(p.recurrence_subgraphs as u64);
-    eat(u64::from(p.truncated));
+    // Formerly the always-false `truncated` flag; kept so the goldens stay byte-identical.
+    eat(0);
     h
 }
 
@@ -253,7 +251,7 @@ fn dense_orderings_match_the_golden_fingerprints() {
     assert_eq!(
         actual, golden,
         "pre-orderings drifted from tests/golden/preorder_fingerprints.txt \
-         (the frozen legacy-equivalent output); if the change is intentional, \
+         (the frozen pre-ordering output); if the change is intentional, \
          regenerate with `HRMS_BLESS=1 cargo test --test preorder_property`"
     );
 }
@@ -266,7 +264,6 @@ fn recurrence_heavy_suite_holds_the_invariants() {
     // coverage beyond the invariants.)
     for g in synthetic::recurrence_heavy_suite() {
         let p = pre_order_with(&LoopAnalysis::analyze(&g), &PreOrderOptions::default());
-        assert!(!p.truncated, "the enumeration-free path never truncates");
         assert!(p.recurrence_subgraphs > 0, "`{}`", g.name());
         check_invariants(&g, &p);
     }
