@@ -18,8 +18,8 @@
 //! * finished schedules, kernels and stage counts ([`schedule`], [`kernel`]),
 //! * loop-variant lifetimes, `MaxLive` and buffer requirements
 //!   ([`lifetime`]),
-//! * an independent schedule validator used by the test-suite
-//!   ([`validate`]),
+//! * the one schedule checker ([`validate`]), used by the test-suites, by
+//!   FRLC and by the certifier's dependence and resource checks,
 //! * feedback-guided iterative rescheduling around any scheduler
 //!   ([`feedback`]),
 //! * the [`ModuloScheduler`] trait implemented by HRMS and all baselines
@@ -53,4 +53,4 @@ pub use partial::PartialSchedule;
 pub use report::{error_line, push_json_str, report_line, ReportOptions};
 pub use schedule::Schedule;
 pub use scheduler::{ModuloScheduler, ScheduleMetrics, ScheduleOutcome, SchedulerConfig};
-pub use validate::{validate_schedule, ValidationError};
+pub use validate::{schedule_violations, validate_schedule, ValidationError};

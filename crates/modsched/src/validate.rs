@@ -1,15 +1,16 @@
-//! Independent validation of modulo schedules.
+//! The schedule checker, the one implementation of the validity test.
 //!
-//! Every scheduler in the workspace is checked against this validator in the
-//! integration and property tests: a schedule is *valid* when every
-//! dependence is satisfied (modulo the `δ·II` slack of loop-carried
-//! dependences) and no functional-unit class is oversubscribed in any modulo
-//! slot.
+//! A schedule is *valid* when every dependence is satisfied (modulo the
+//! `δ·II` slack of loop-carried dependences) and no functional-unit class is
+//! oversubscribed in any modulo slot. [`schedule_violations`] lists every
+//! violation, [`validate_schedule`] reports the first, and the certifier's
+//! `S002`/`S003` checks (`hrms_verify::certify`) map the full list. Only the
+//! [`Ddg`], [`Machine`] and [`Schedule`] are read, never scheduler state.
 
 use std::error::Error;
 use std::fmt;
 
-use hrms_ddg::{Ddg, NodeId};
+use hrms_ddg::{Ddg, EdgeId, NodeId};
 use hrms_machine::{ClassId, Machine};
 
 use crate::mii::dependence_latency;
@@ -28,6 +29,8 @@ pub enum ValidationError {
     },
     /// A dependence `(source, target)` is violated.
     DependenceViolated {
+        /// The violated edge.
+        edge: EdgeId,
         /// Producer operation.
         source: NodeId,
         /// Consumer operation.
@@ -53,7 +56,7 @@ pub enum ValidationError {
         /// The oversubscribed modulo slot (`0..II`).
         slot: usize,
         /// Total demand the whole schedule puts on that slot.
-        demand: u32,
+        demand: u64,
         /// Units available in the class.
         capacity: u32,
     },
@@ -72,6 +75,7 @@ impl fmt::Display for ValidationError {
                 source_cycle,
                 target_cycle,
                 required,
+                ..
             } => write!(
                 f,
                 "dependence {source} -> {target} violated: {target_cycle} < {source_cycle} + {required}"
@@ -98,27 +102,43 @@ impl Error for ValidationError {}
 ///
 /// # Errors
 ///
-/// Returns the first [`ValidationError`] found (dependences are checked
+/// Returns the first of [`schedule_violations`] (dependences are checked
 /// before resources).
 pub fn validate_schedule(
     ddg: &Ddg,
     machine: &Machine,
     schedule: &Schedule,
 ) -> Result<(), ValidationError> {
+    schedule_violations(ddg, machine, schedule)
+        .into_iter()
+        .next()
+        .map_or(Ok(()), Err)
+}
+
+/// Every way `schedule` fails to be a valid modulo schedule of `ddg` on
+/// `machine` (empty iff it is valid): [`ValidationError::WrongLength`]
+/// alone, or every violated dependence in edge order followed by every
+/// oversubscribed (class, modulo slot) in that order.
+pub fn schedule_violations(
+    ddg: &Ddg,
+    machine: &Machine,
+    schedule: &Schedule,
+) -> Vec<ValidationError> {
     if schedule.len() != ddg.num_nodes() {
-        return Err(ValidationError::WrongLength {
+        return vec![ValidationError::WrongLength {
             expected: ddg.num_nodes(),
             actual: schedule.len(),
-        });
+        }];
     }
     let ii = i64::from(schedule.ii());
-
-    for (_, e) in ddg.edges() {
+    let mut violations = Vec::new();
+    for (edge, e) in ddg.edges() {
         let tu = schedule.cycle(e.source());
         let tv = schedule.cycle(e.target());
         let required = i64::from(dependence_latency(ddg, e)) - i64::from(e.distance()) * ii;
         if tv < tu + required {
-            return Err(ValidationError::DependenceViolated {
+            violations.push(ValidationError::DependenceViolated {
+                edge,
                 source: e.source(),
                 target: e.target(),
                 source_cycle: tu,
@@ -127,107 +147,65 @@ pub fn validate_schedule(
             });
         }
     }
-
-    check_resources(ddg, machine, schedule)
+    resource_violations(ddg, machine, schedule, &mut violations);
+    violations
 }
 
-/// Adds the per-slot unit demand of one operation to `demand` (the row for
-/// its class). Mirrors the MRT's occupancy model: pipelined operations take
-/// one slot, non-pipelined ones take `occupancy` consecutive slots and wrap
-/// the whole table when the occupancy exceeds the II.
-fn add_demand(demand: &mut [u32], ii: usize, start: usize, occupancy: usize) {
-    if occupancy <= ii {
-        for k in 0..occupancy {
-            let s = start + k;
-            let s = if s >= ii { s - ii } else { s };
-            demand[s] += 1;
-        }
-    } else {
-        let base = (occupancy / ii) as u32;
-        let rem = occupancy % ii;
-        for (s, d) in demand.iter_mut().enumerate() {
-            *d += base + u32::from((s + ii - start) % ii < rem);
-        }
-    }
-}
-
-/// Checks functional-unit capacity by summing every operation's per-slot
-/// demand directly and comparing each (class, modulo slot) total against
-/// the class capacity.
+/// Appends one [`ValidationError::ResourceOversubscribed`] per (class,
+/// modulo slot) whose total demand exceeds the class capacity.
 ///
-/// Unlike replaying placements through a
-/// [`ModuloReservationTable`](crate::mrt::ModuloReservationTable), the
-/// verdict is manifestly independent of the order operations are
-/// considered in: the total demand of a slot is a sum, and the schedule is
-/// resource-feasible iff every total is within capacity. (Sequential MRT
-/// placement reaches the same verdict — a slot can only exceed capacity if
-/// some placement fails — but establishes it indirectly; the property test
-/// in this module pins the two checks against each other.) For error
-/// reporting, the first operation in [`Schedule::iter`] order whose
-/// cumulative demand crosses the capacity is blamed, which matches the
-/// operation the placement-replay check used to report.
-fn check_resources(
+/// Occupancy follows the MRT's model: pipelined operations take one slot,
+/// non-pipelined ones take `occupancy` consecutive slots and wrap the whole
+/// table when the occupancy exceeds the II. Demand is summed per slot, so
+/// the verdict is independent of the order operations are considered in
+/// (an MRT replay reaches the same verdict indirectly; the property test in
+/// this module pins the two against each other). The same pass records, per
+/// slot, the first operation in [`Schedule::iter`] order whose demand
+/// crosses the capacity: the operation an MRT replay would refuse.
+fn resource_violations(
     ddg: &Ddg,
     machine: &Machine,
     schedule: &Schedule,
-) -> Result<(), ValidationError> {
+    out: &mut Vec<ValidationError>,
+) {
     let ii = schedule.ii() as usize;
-    let mut demand: Vec<Vec<u32>> = machine.classes().iter().map(|_| vec![0u32; ii]).collect();
+    // Per (class, slot), row-major: total demand and the first operation
+    // that pushed it over capacity (set iff the slot is oversubscribed).
+    let mut slots: Vec<(u64, Option<(NodeId, i64)>)> = vec![(0, None); machine.num_classes() * ii];
     for (node, cycle) in schedule.iter() {
         let kind = ddg.node(node).kind();
         let class = machine.class_of(kind);
-        let start = cycle.rem_euclid(schedule.ii() as i64) as usize;
-        add_demand(
-            &mut demand[class.index()],
-            ii,
-            start,
-            machine.occupancy_of(kind) as usize,
-        );
+        let capacity = u64::from(machine.class(class).count);
+        let row = &mut slots[class.index() * ii..][..ii];
+        let start = cycle.rem_euclid(i64::from(schedule.ii())) as usize;
+        let occupancy = machine.occupancy_of(kind) as usize;
+        // `occupancy / II` units in every slot, one more in the `occupancy
+        // % II` slots from `start` on.
+        for k in 0..ii {
+            let units = (occupancy / ii + usize::from(k < occupancy % ii)) as u64;
+            if units == 0 {
+                break;
+            }
+            let (demand, blame) = &mut row[(start + k) % ii];
+            *demand += units;
+            if *demand > capacity && blame.is_none() {
+                *blame = Some((node, cycle));
+            }
+        }
     }
-    for (c, row) in demand.iter().enumerate() {
-        let capacity = machine.classes()[c].count;
-        if let Some((slot, &d)) = row.iter().enumerate().find(|&(_, &d)| d > capacity) {
-            let class = ClassId(c as u32);
-            let (node, cycle) = blame(ddg, machine, schedule, class, slot)
-                .expect("an oversubscribed slot has a contributing operation");
-            return Err(ValidationError::ResourceOversubscribed {
+    for (i, &(demand, blame)) in slots.iter().enumerate() {
+        if let Some((node, cycle)) = blame {
+            let class = ClassId((i / ii) as u32);
+            out.push(ValidationError::ResourceOversubscribed {
                 node,
                 cycle,
                 class,
-                slot,
-                demand: d,
-                capacity,
+                slot: i % ii,
+                demand,
+                capacity: machine.class(class).count,
             });
         }
     }
-    Ok(())
-}
-
-/// The first operation (in schedule order) whose cumulative demand pushes
-/// the oversubscribed `(class, slot)` past capacity — the same operation a
-/// sequential MRT replay would have failed on.
-fn blame(
-    ddg: &Ddg,
-    machine: &Machine,
-    schedule: &Schedule,
-    class: ClassId,
-    slot: usize,
-) -> Option<(NodeId, i64)> {
-    let ii = schedule.ii() as usize;
-    let capacity = machine.class(class).count;
-    let mut row = vec![0u32; ii];
-    for (node, cycle) in schedule.iter() {
-        let kind = ddg.node(node).kind();
-        if machine.class_of(kind) != class {
-            continue;
-        }
-        let start = cycle.rem_euclid(schedule.ii() as i64) as usize;
-        add_demand(&mut row, ii, start, machine.occupancy_of(kind) as usize);
-        if row[slot] > capacity {
-            return Some((node, cycle));
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -235,7 +213,7 @@ mod tests {
     use super::*;
     use crate::mrt::ModuloReservationTable;
     use hrms_ddg::{DdgBuilder, DepKind, OpKind};
-    use hrms_machine::presets;
+    use hrms_machine::{presets, MachineBuilder, ResourceClass};
 
     /// The pre-fix resource check: replay every placement through an MRT in
     /// schedule order and fail on the first refused placement. Kept as the
@@ -280,17 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn dependence_violations_are_reported() {
-        let g = loop_with_recurrence();
-        let m = presets::govindarajan();
-        // mul scheduled before the load finishes.
-        let s = Schedule::new(2, vec![0, 1, 4, 7]);
-        let err = validate_schedule(&g, &m, &s).unwrap_err();
-        assert!(matches!(err, ValidationError::DependenceViolated { .. }));
-        assert!(err.to_string().contains("violated"));
-    }
-
-    #[test]
     fn loop_carried_slack_is_honoured() {
         // a -> c with distance 1: at II = 4 the constraint
         // t(c) >= t(a) + 4 - 4 is satisfied by t(c) = t(a); at II = 3 it is
@@ -305,25 +272,6 @@ mod tests {
         assert_eq!(validate_schedule(&g, &m, &ok), Ok(()));
         let bad = Schedule::new(3, vec![0, 0]);
         assert!(validate_schedule(&g, &m, &bad).is_err());
-    }
-
-    #[test]
-    fn resource_oversubscription_is_reported() {
-        let m = presets::govindarajan();
-        let mut b = DdgBuilder::new("two_loads");
-        b.node("l0", OpKind::Load, 2);
-        b.node("l1", OpKind::Load, 2);
-        let g = b.build().unwrap();
-        // Both loads in the same modulo slot of the single load/store unit.
-        let s = Schedule::new(2, vec![0, 2]);
-        let err = validate_schedule(&g, &m, &s).unwrap_err();
-        assert!(matches!(
-            err,
-            ValidationError::ResourceOversubscribed { .. }
-        ));
-        // Different slots are fine.
-        let s = Schedule::new(2, vec![0, 1]);
-        assert_eq!(validate_schedule(&g, &m, &s), Ok(()));
     }
 
     #[test]
@@ -347,22 +295,21 @@ mod tests {
         b.node("l0", OpKind::Load, 2);
         b.node("l1", OpKind::Load, 2);
         let g = b.build().unwrap();
+        // Both loads in the same modulo slot of the single load/store unit;
+        // the second is blamed, as an MRT replay would refuse it.
         let s = Schedule::new(2, vec![0, 2]);
-        match validate_schedule(&g, &m, &s).unwrap_err() {
-            ValidationError::ResourceOversubscribed {
-                node,
-                cycle,
-                class,
-                slot,
-                demand,
-                capacity,
-            } => {
-                assert_eq!((node, cycle), (NodeId(1), 2), "blame matches MRT replay");
-                assert_eq!(class, m.class_of(OpKind::Load));
-                assert_eq!((slot, demand, capacity), (0, 2, 1));
-            }
-            other => panic!("expected ResourceOversubscribed, got {other:?}"),
-        }
+        let err = ValidationError::ResourceOversubscribed {
+            node: NodeId(1),
+            cycle: 2,
+            class: m.class_of(OpKind::Load),
+            slot: 0,
+            demand: 2,
+            capacity: 1,
+        };
+        assert_eq!(validate_schedule(&g, &m, &s), Err(err));
+        // Different slots are fine.
+        let s = Schedule::new(2, vec![0, 1]);
+        assert_eq!(validate_schedule(&g, &m, &s), Ok(()));
     }
 
     #[test]
@@ -397,12 +344,13 @@ mod tests {
                     let ii = 1 + next(28) as u32;
                     let cycles: Vec<i64> = (0..g.num_nodes()).map(|_| next(60) - 20).collect();
                     let s = Schedule::new(ii, cycles);
-                    let direct = check_resources(g, m, &s);
-                    match (replay_verdict(g, m, &s), direct) {
-                        (Ok(()), Ok(())) => {}
+                    let mut direct = Vec::new();
+                    resource_violations(g, m, &s, &mut direct);
+                    match (replay_verdict(g, m, &s), direct.first()) {
+                        (Ok(()), None) => {}
                         (
                             Err((node, cycle)),
-                            Err(ValidationError::ResourceOversubscribed {
+                            Some(&ValidationError::ResourceOversubscribed {
                                 node: n2,
                                 cycle: c2,
                                 demand,
@@ -411,7 +359,18 @@ mod tests {
                             }),
                         ) => {
                             oversubscribed += 1;
-                            assert!(demand > capacity);
+                            assert!(demand > u64::from(capacity));
+                            // The operation the replay refuses is the first
+                            // to push some slot over capacity, so it is the
+                            // blame of one of the reported slots.
+                            assert!(
+                                direct.iter().any(|v| matches!(
+                                    *v,
+                                    ValidationError::ResourceOversubscribed { node: n, cycle: c, .. }
+                                        if (n, c) == (node, cycle)
+                                )),
+                                "replay refused {node}@{cycle}, not blamed in {direct:?}"
+                            );
                             // The direct check reports the first
                             // oversubscribed slot's first offender; the
                             // replay reports the first refused placement.
@@ -438,6 +397,48 @@ mod tests {
             disagreements * 10 <= oversubscribed,
             "blame should almost always match the replay: {disagreements}/{oversubscribed}"
         );
+    }
+
+    #[test]
+    fn every_violation_is_listed_dependences_first() {
+        let g = loop_with_recurrence();
+        let m = presets::govindarajan();
+        // At II = 1, ld -> mul, mul -> acc and acc -> st are too close, and
+        // ld and st share the load/store unit's only modulo slot.
+        let s = Schedule::new(1, vec![0, 1, 1, 1]);
+        let violations = schedule_violations(&g, &m, &s);
+        let shown: Vec<String> = violations.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            shown,
+            [
+                "dependence n0 -> n1 violated: 1 < 0 + 2",
+                "dependence n1 -> n2 violated: 1 < 1 + 2",
+                "dependence n2 -> n3 violated: 1 < 1 + 1",
+                "functional unit oversubscribed: n3 does not fit at cycle 1 \
+                 (class fu3 modulo slot 0 needs 2 units, has 1)",
+            ]
+        );
+        assert_eq!(validate_schedule(&g, &m, &s), Err(violations[0].clone()));
+    }
+
+    #[test]
+    fn slot_demand_does_not_wrap_at_u32() {
+        // Two non-pipelined divisions of latency 2^31 in the one slot of
+        // II = 1 demand 2^32 units, which a u32 total wraps to 0.
+        let m = MachineBuilder::new("huge-div")
+            .class(ResourceClass::unpipelined("div", 1))
+            .map_all_remaining_to(0, 1)
+            .latency(OpKind::FpDiv, 1 << 31)
+            .build()
+            .unwrap();
+        let mut b = DdgBuilder::new("two_divs");
+        b.node("d0", OpKind::FpDiv, 1 << 31);
+        b.node("d1", OpKind::FpDiv, 1 << 31);
+        let s = Schedule::new(1, vec![0, 0]);
+        assert!(matches!(
+            validate_schedule(&b.build().unwrap(), &m, &s),
+            Err(ValidationError::ResourceOversubscribed { demand, capacity: 1, .. }) if demand == 1 << 32
+        ));
     }
 
     #[test]

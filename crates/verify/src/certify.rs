@@ -1,17 +1,16 @@
 //! The independent schedule certifier.
 //!
 //! [`certify`] takes a loop, a machine and a finished [`Schedule`] and
-//! re-derives every property a correct modulo schedule must have — from
-//! scratch, sharing no working state with the schedulers:
+//! re-derives every property a correct modulo schedule must have from the
+//! loop, the machine and the schedule alone, sharing no working state with
+//! the schedulers:
 //!
 //! * `S007` / `S001` — the II is a positive integer and the schedule
 //!   assigns a cycle to every operation (and the re-derived kernel covers
 //!   them all exactly once).
-//! * `S002` — every dependence `(u, v)` satisfies
-//!   `t(v) ≥ t(u) + λ(u,v) − δ(u,v)·II`.
-//! * `S003` — a modulo reservation table rebuilt here (per-class,
-//!   per-slot demand totals including non-pipelined wrap-around) never
-//!   exceeds any class's unit count.
+//! * `S002` / `S003` — every dependence `(u, v)` satisfies
+//!   `t(v) ≥ t(u) + λ(u,v) − δ(u,v)·II` and no class is oversubscribed in
+//!   any modulo slot.
 //! * `S004` — the II is at least the loop's MII, re-derived via
 //!   [`MiiInfo`] (which fails when RecMII is undefined).
 //! * `S005` — MaxLive from the lifetime table equals the loop-variant
@@ -19,15 +18,19 @@
 //! * `S006` — modulo-variable-expansion renaming is consistent and the
 //!   expanded kernel's register count matches `mve_registers`.
 //!
-//! The result is a machine-readable [`Certificate`]: one [`CheckResult`]
-//! per property plus an `S0xx` [`Diagnostic`] for every failure, rendered
-//! to JSON in the schema documented in `docs/DIAGNOSTICS.md`.
+//! The `S001`–`S003` verdicts project [`schedule_violations`], the one
+//! schedule checker. The result is a machine-readable [`Certificate`]: one
+//! [`CheckResult`] per property plus an `S0xx` [`Diagnostic`] for every
+//! failure, rendered to JSON in the schema documented in
+//! `docs/DIAGNOSTICS.md`.
 
 use std::fmt::Write as _;
 
 use hrms_ddg::{ddg_fingerprint, format_digest, Ddg};
 use hrms_machine::{machine_fingerprint, Machine};
-use hrms_modsched::{dependence_latency, push_json_str, LifetimeAnalysis, MiiInfo, Schedule};
+use hrms_modsched::{
+    push_json_str, schedule_violations, LifetimeAnalysis, MiiInfo, Schedule, ValidationError,
+};
 use hrms_regalloc::{mve_registers, mve_unroll_factor, ExpandedKernel, RegisterPressure};
 
 use crate::diag::{Code, Diagnostic};
@@ -184,9 +187,11 @@ pub fn certify(ddg: &Ddg, machine: &Machine, schedule: &Schedule) -> Certificate
         return cert;
     }
 
-    // S001: one start cycle per operation, and the re-derived kernel
-    // places each exactly once.
-    let covered = schedule.len() == ddg.num_nodes();
+    // S001–S003 project the violations the schedule checker finds. S001:
+    // one start cycle per operation, and the re-derived kernel places each
+    // exactly once.
+    let violations = schedule_violations(ddg, machine, schedule);
+    let covered = !matches!(violations[..], [ValidationError::WrongLength { .. }]);
     let detail = format!(
         "schedule covers {} of {} operations",
         schedule.len(),
@@ -208,94 +213,64 @@ pub fn certify(ddg: &Ddg, machine: &Machine, schedule: &Schedule) -> Certificate
         ),
     );
 
-    // S002: every dependence checked against the start times, modulo δ·II.
-    let mut violations = 0usize;
-    for (_, e) in ddg.edges() {
-        let t_u = schedule.cycle(e.source());
-        let t_v = schedule.cycle(e.target());
-        let lat = i64::from(dependence_latency(ddg, e));
-        let slack = t_v + i64::from(e.distance()) * i64::from(ii) - t_u - lat;
-        if slack < 0 {
-            violations += 1;
-            cert.diagnostics.push(Diagnostic::new(
-                Code::S002,
-                format!(
-                    "dependence `{}` -> `{}` violated: t({}) = {} < t({}) + {} - {}*{} = {}",
-                    ddg.node(e.source()).name(),
-                    ddg.node(e.target()).name(),
-                    ddg.node(e.target()).name(),
-                    t_v,
-                    ddg.node(e.source()).name(),
-                    lat,
-                    e.distance(),
-                    ii,
-                    t_u + lat - i64::from(e.distance()) * i64::from(ii)
-                ),
-            ));
-        }
-    }
-    push_check(
-        &mut cert,
-        "dependences",
-        violations == 0,
-        format!(
-            "{} of {} dependences satisfied modulo delta*II",
-            ddg.num_edges() - violations,
-            ddg.num_edges()
-        ),
-    );
-
-    // S003: rebuild the modulo reservation table from scratch — per-class,
-    // per-slot demand totals, including the wrap-around demand of
-    // operations whose occupancy exceeds the II.
-    let mut demand: Vec<Vec<u64>> = machine
-        .classes()
-        .iter()
-        .map(|_| vec![0u64; ii as usize])
-        .collect();
-    for id in ddg.node_ids() {
-        let kind = ddg.node(id).kind();
-        let class = machine.class_of(kind).index();
-        let occupancy = machine.occupancy_of(kind);
-        let start = schedule.cycle(id).rem_euclid(i64::from(ii)) as usize;
-        let ii_us = ii as usize;
-        let base = (occupancy / ii) as u64;
-        let rem = (occupancy % ii) as usize;
-        for (s, d) in demand[class].iter_mut().enumerate() {
-            *d += base + u64::from((s + ii_us - start) % ii_us < rem);
-        }
-    }
-    let mut oversubscribed = Vec::new();
-    for (c, class) in machine.classes().iter().enumerate() {
-        for (slot, &d) in demand[c].iter().enumerate() {
-            if d > u64::from(class.count) {
-                oversubscribed.push((c, slot, d, class.count));
+    // S002 / S003: one diagnostic per violated dependence, then one per
+    // oversubscribed (class, modulo slot).
+    for violation in violations {
+        let (code, message) = match violation {
+            ValidationError::DependenceViolated {
+                edge,
+                source_cycle: t_u,
+                target_cycle: t_v,
+                required,
+                ..
+            } => {
+                let e = ddg.edge(edge);
+                let (u, v) = (ddg.node(e.source()).name(), ddg.node(e.target()).name());
+                let (d, bound) = (e.distance(), t_u + required);
+                let lat = required + i64::from(d) * i64::from(ii);
+                let message = format!(
+                    "dependence `{u}` -> `{v}` violated: t({v}) = {t_v} < t({u}) + {lat} - {d}*{ii} = {bound}"
+                );
+                (Code::S002, message)
             }
-        }
-    }
-    for &(c, slot, d, count) in &oversubscribed {
-        cert.diagnostics.push(Diagnostic::new(
-            Code::S003,
-            format!(
-                "class `{}` oversubscribed in modulo slot {}: demand {} exceeds {} units",
-                machine.classes()[c].name,
+            ValidationError::ResourceOversubscribed {
+                class,
                 slot,
-                d,
-                count
-            ),
-        ));
+                demand,
+                capacity,
+                ..
+            } => {
+                let class = &machine.class(class).name;
+                let message = format!(
+                    "class `{class}` oversubscribed in modulo slot {slot}: demand {demand} exceeds {capacity} units"
+                );
+                (Code::S003, message)
+            }
+            // The coverage check above rules out `WrongLength`.
+            _ => continue,
+        };
+        cert.diagnostics.push(Diagnostic::new(code, message));
     }
-    push_check(
-        &mut cert,
-        "resources",
-        oversubscribed.is_empty(),
-        format!(
-            "rebuilt MRT: {} classes x {} slots, {} oversubscribed",
-            machine.num_classes(),
-            ii,
-            oversubscribed.len()
-        ),
+    let failed = |code| cert.diagnostics.iter().filter(|d| d.code == code).count();
+    let (dependences, oversubscribed) = (failed(Code::S002), failed(Code::S003));
+    let edges = ddg.num_edges();
+    let detail = format!(
+        "{} of {edges} dependences satisfied modulo delta*II",
+        edges - dependences
     );
+    cert.checks.push(CheckResult {
+        name: "dependences",
+        passed: dependences == 0,
+        detail,
+    });
+    let classes = machine.num_classes();
+    let detail =
+        format!("rebuilt MRT: {classes} classes x {ii} slots, {oversubscribed} oversubscribed");
+    cert.checks.push(CheckResult {
+        name: "resources",
+        passed: oversubscribed == 0,
+        detail,
+    });
 
     // S004: the II must not beat the re-derived lower bound.
     match MiiInfo::compute(machine, &hrms_ddg::LoopAnalysis::analyze(ddg)) {
@@ -396,16 +371,6 @@ fn check(
     passed
 }
 
-/// Records a check whose diagnostics (if any) were already pushed
-/// individually.
-fn push_check(cert: &mut Certificate, name: &'static str, passed: bool, detail: String) {
-    cert.checks.push(CheckResult {
-        name,
-        passed,
-        detail,
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,6 +409,17 @@ mod tests {
         assert!(!json.contains('\n'));
     }
 
+    /// The named check, and the message of every diagnostic with `code`.
+    fn outcome<'a>(
+        cert: &'a Certificate,
+        check: &str,
+        code: Code,
+    ) -> (&'a CheckResult, Vec<&'a str>) {
+        let check = cert.checks.iter().find(|c| c.name == check).unwrap();
+        let messages = cert.diagnostics.iter().filter(|d| d.code == code);
+        (check, messages.map(|d| d.message.as_str()).collect())
+    }
+
     #[test]
     fn dependence_violations_fail_s002() {
         let ddg = dot_product();
@@ -452,17 +428,13 @@ mod tests {
         let schedule = Schedule::new(2, vec![0, 1, 2, 5]);
         let cert = certify(&ddg, &machine, &schedule);
         assert!(!cert.passed());
-        let dep = cert
-            .checks
-            .iter()
-            .find(|c| c.name == "dependences")
-            .unwrap();
+        let (dep, messages) = outcome(&cert, "dependences", Code::S002);
         assert!(!dep.passed);
-        assert!(cert.diagnostics.iter().any(|d| d.code == Code::S002));
-        assert!(cert
-            .diagnostics
-            .iter()
-            .any(|d| d.message.contains("`load_a`") || d.message.contains("`load_b`")));
+        assert_eq!(dep.detail, "3 of 4 dependences satisfied modulo delta*II");
+        assert_eq!(
+            messages,
+            ["dependence `load_b` -> `mul` violated: t(mul) = 2 < t(load_b) + 2 - 0*2 = 3"]
+        );
     }
 
     #[test]
@@ -472,12 +444,16 @@ mod tests {
         // Both loads in the same modulo slot of the single load/store unit.
         let schedule = Schedule::new(2, vec![0, 2, 4, 6]);
         let cert = certify(&ddg, &machine, &schedule);
-        let res = cert.checks.iter().find(|c| c.name == "resources").unwrap();
+        let (res, messages) = outcome(&cert, "resources", Code::S003);
         assert!(!res.passed);
-        assert!(cert
-            .diagnostics
-            .iter()
-            .any(|d| d.code == Code::S003 && d.message.contains("slot 0")));
+        assert_eq!(
+            res.detail,
+            "rebuilt MRT: 4 classes x 2 slots, 1 oversubscribed"
+        );
+        assert_eq!(
+            messages,
+            ["class `load-store` oversubscribed in modulo slot 0: demand 2 exceeds 1 units"]
+        );
     }
 
     #[test]
@@ -510,21 +486,42 @@ mod tests {
 
     #[test]
     fn non_pipelined_wraparound_demand_is_counted() {
-        // One non-pipelined divider, latency 17, II=4: a single div occupies
-        // ceil(17/4) > 1 units in some slot, so even one div oversubscribes
-        // a 1-unit class... at II=4 occupancy 17 needs base 4 + 1 extra.
+        // One 17-cycle division on perfect_club's two non-pipelined div/sqrt
+        // units at II = 4 takes 17/4 = 4 units in every slot and one more in
+        // its issue slot.
         let mut b = DdgBuilder::new("divloop");
         let d = b.node("div", OpKind::FpDiv, 17);
         b.edge(d, d, DepKind::RegFlow, 5).unwrap();
         let ddg = b.build().unwrap();
-        let machine = presets::perfect_club();
-        let schedule = Schedule::new(4, vec![0]);
-        let cert = certify(&ddg, &machine, &schedule);
-        let res = cert.checks.iter().find(|c| c.name == "resources").unwrap();
-        // perfect_club has 2 div/sqrt units, non-pipelined: demand base
-        // 17/4 = 4 per slot exceeds 2 units.
+        let cert = certify(&ddg, &presets::perfect_club(), &Schedule::new(4, vec![0]));
+        let (res, messages) = outcome(&cert, "resources", Code::S003);
         assert!(!res.passed);
-        assert!(cert.diagnostics.iter().any(|d| d.code == Code::S003));
+        let demands = [5, 4, 4, 4].iter().enumerate().map(|(slot, demand)| {
+            format!("class `fp-div-sqrt` oversubscribed in modulo slot {slot}: demand {demand} exceeds 2 units")
+        });
+        assert_eq!(messages, demands.collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn slot_demand_beyond_u32_fails_s003() {
+        // Two non-pipelined divisions of latency 2^31 at II = 1 put 2^32
+        // units of demand on the one slot of a one-unit class.
+        let machine = hrms_machine::MachineBuilder::new("huge-div")
+            .class(hrms_machine::ResourceClass::unpipelined("div", 1))
+            .map_all_remaining_to(0, 1)
+            .latency(OpKind::FpDiv, 1 << 31)
+            .build()
+            .unwrap();
+        let mut b = DdgBuilder::new("two_divs");
+        b.node("d0", OpKind::FpDiv, 1 << 31);
+        b.node("d1", OpKind::FpDiv, 1 << 31);
+        let cert = certify(&b.build().unwrap(), &machine, &Schedule::new(1, vec![0, 0]));
+        let (res, messages) = outcome(&cert, "resources", Code::S003);
+        assert!(!res.passed);
+        assert_eq!(
+            messages,
+            ["class `div` oversubscribed in modulo slot 0: demand 4294967296 exceeds 1 units"]
+        );
     }
 
     #[test]

@@ -15,15 +15,15 @@
 //!   resource classes. Parse failures surface as `L001`/`M001` with the
 //!   codec's own span.
 //! * **Certifier** ([`certify()`]) — an independent checker for finished
-//!   schedules: it rebuilds the modulo reservation table from scratch,
-//!   re-checks every dependence modulo `δ·II`, re-derives the kernel,
-//!   lifetime and MVE tables, and cross-checks the II against the
+//!   schedules: it reports every dependence and modulo-slot violation the
+//!   schedule checker [`hrms_modsched::validate`] finds, re-derives the
+//!   kernel, lifetime and MVE tables, and cross-checks the II against the
 //!   re-computed MII. The output is a machine-readable [`Certificate`].
 //!
-//! The certifier shares no working state with the schedulers in
-//! `hrms-modsched` — it is the referee, not a replay of the player's
-//! moves. Every code is documented with a worked example in
-//! `docs/DIAGNOSTICS.md`.
+//! The certifier shares no working state with the schedulers: it
+//! reads only the loop, the machine and the schedule — the referee, not a
+//! replay of the player's moves. Every code is documented with a worked
+//! example in `docs/DIAGNOSTICS.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
