@@ -192,7 +192,7 @@ impl DdgBuilder {
                     name: n.name().to_string(),
                 });
             }
-            if !names.insert(n.name().to_string()) {
+            if !names.insert(n.name()) {
                 return Err(DdgError::DuplicateName {
                     name: n.name().to_string(),
                 });

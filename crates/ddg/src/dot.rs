@@ -9,6 +9,8 @@
 //! how external/real loops enter the `hrms` CLI. The format contract is
 //! specified in `docs/FORMATS.md`.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::builder::DdgBuilder;
@@ -143,20 +145,21 @@ fn escape(s: &str) -> String {
 // Import
 // ---------------------------------------------------------------------------
 
-/// One token of a DOT input stream.
+/// One token of a DOT input stream. Identifiers and strings borrow from
+/// the input; only a string containing an escape owns its text.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
+enum Tok<'a> {
     /// Bare identifier or number.
-    Id(String),
+    Id(&'a str),
     /// Double-quoted string (unescaped).
-    Str(String),
+    Str(Cow<'a, str>),
     /// `{`, `}`, `[`, `]`, `=`, `;`, `,`
     Punct(char),
     /// `->`
     Arrow,
 }
 
-impl Tok {
+impl<'a> Tok<'a> {
     fn describe(&self) -> String {
         match self {
             Tok::Id(s) => format!("`{s}`"),
@@ -167,9 +170,10 @@ impl Tok {
     }
 
     /// The textual value of an identifier or string token.
-    fn value(&self) -> Option<&str> {
+    fn into_value(self) -> Option<Cow<'a, str>> {
         match self {
-            Tok::Id(s) | Tok::Str(s) => Some(s),
+            Tok::Id(s) => Some(Cow::Borrowed(s)),
+            Tok::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -215,7 +219,8 @@ impl Src<'_> {
 }
 
 /// Tokenizes the supported DOT subset, tracking line/column/offset spans.
-fn lex<'a>(input: &'a str, src: &Src<'a>) -> Result<Vec<(Tok, Span)>, ParseError> {
+/// One pass over the input; tokens borrow from it.
+fn lex<'a>(input: &'a str, src: &Src<'a>) -> Result<Vec<(Tok<'a>, Span)>, ParseError> {
     let mut toks = Vec::new();
     let mut chars = input.char_indices().peekable();
     let mut pos = Pos {
@@ -283,28 +288,47 @@ fn lex<'a>(input: &'a str, src: &Src<'a>) -> Result<Vec<(Tok, Span)>, ParseError
             }
             '"' => {
                 bump!();
-                let mut s = String::new();
+                let content = pos.offset;
+                // The unescaped text, once an escape forces a copy.
+                let mut owned: Option<String> = None;
                 loop {
                     match bump!() {
                         None => return Err(src.err(start.until(pos), "unterminated string")),
                         Some('"') => break,
                         Some('\\') => match bump!() {
-                            Some('\\') => s.push('\\'),
-                            Some('"') => s.push('"'),
-                            Some('n') => s.push('\n'),
-                            Some('t') => s.push('\t'),
-                            // DOT treats unknown escapes literally; keep
-                            // both characters so foreign labels survive.
-                            Some(other) => {
-                                s.push('\\');
-                                s.push(other);
+                            // The escape's two characters end at `pos`.
+                            Some(c) => {
+                                let s = owned.get_or_insert_with(|| {
+                                    input[content..pos.offset - 1 - c.len_utf8()].to_string()
+                                });
+                                match c {
+                                    '\\' => s.push('\\'),
+                                    '"' => s.push('"'),
+                                    'n' => s.push('\n'),
+                                    't' => s.push('\t'),
+                                    // DOT treats unknown escapes literally;
+                                    // keep both characters so foreign
+                                    // labels survive.
+                                    other => {
+                                        s.push('\\');
+                                        s.push(other);
+                                    }
+                                }
                             }
                             None => return Err(src.err(start.until(pos), "unterminated string")),
                         },
-                        Some(c) => s.push(c),
+                        Some(c) => {
+                            if let Some(s) = &mut owned {
+                                s.push(c);
+                            }
+                        }
                     }
                 }
-                toks.push((Tok::Str(s), start.until(pos)));
+                let text = match owned {
+                    Some(s) => Cow::Owned(s),
+                    None => Cow::Borrowed(&input[content..pos.offset - 1]),
+                };
+                toks.push((Tok::Str(text), start.until(pos)));
             }
             '{' | '}' | '[' | ']' | '=' | ';' | ',' => {
                 bump!();
@@ -324,16 +348,14 @@ fn lex<'a>(input: &'a str, src: &Src<'a>) -> Result<Vec<(Tok, Span)>, ParseError
                 }
             }
             c if c.is_alphanumeric() || c == '_' || c == '.' => {
-                let mut s = String::new();
                 while let Some(&(_, c)) = chars.peek() {
                     if c.is_alphanumeric() || c == '_' || c == '.' {
-                        s.push(c);
                         bump!();
                     } else {
                         break;
                     }
                 }
-                toks.push((Tok::Id(s), start.until(pos)));
+                toks.push((Tok::Id(&input[start.offset..pos.offset]), start.until(pos)));
             }
             other => {
                 bump!();
@@ -346,31 +368,31 @@ fn lex<'a>(input: &'a str, src: &Src<'a>) -> Result<Vec<(Tok, Span)>, ParseError
 
 /// Key/value attribute list parsed from `[...]`; the span points at the
 /// attribute's value token.
-type Attrs = Vec<(String, String, Span)>;
+type Attrs<'a> = Vec<(Cow<'a, str>, Cow<'a, str>, Span)>;
 
-fn find_attr<'a>(attrs: &'a Attrs, key: &str) -> Option<&'a str> {
+fn find_attr<'a>(attrs: &'a Attrs<'_>, key: &str) -> Option<&'a str> {
     attrs
         .iter()
         .find(|(k, _, _)| k == key)
-        .map(|(_, v, _)| v.as_str())
+        .map(|(_, v, _)| v.as_ref())
 }
 
-fn find_attr_span<'a>(attrs: &'a Attrs, key: &str) -> Option<(&'a str, Span)> {
+fn find_attr_span<'a>(attrs: &'a Attrs<'_>, key: &str) -> Option<(&'a str, Span)> {
     attrs
         .iter()
         .find(|(k, _, _)| k == key)
-        .map(|(_, v, s)| (v.as_str(), *s))
+        .map(|(_, v, s)| (v.as_ref(), *s))
 }
 
 /// Cursor over the token stream.
 struct Cursor<'a> {
-    toks: Vec<(Tok, Span)>,
+    toks: Vec<(Tok<'a>, Span)>,
     pos: usize,
     src: Src<'a>,
 }
 
-impl Cursor<'_> {
-    fn peek(&self) -> Option<&Tok> {
+impl<'a> Cursor<'a> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.pos).map(|(t, _)| t)
     }
 
@@ -391,7 +413,9 @@ impl Cursor<'_> {
         self.src.err(span, message)
     }
 
-    fn next(&mut self) -> Option<Tok> {
+    /// The current token, advancing past it (a borrowed token is copied
+    /// for free).
+    fn next(&mut self) -> Option<Tok<'a>> {
         let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
         self.pos += 1;
         t
@@ -423,7 +447,7 @@ impl Cursor<'_> {
 
     /// Parses an optional `[k=v, ...]` attribute list (possibly repeated,
     /// as DOT allows `[a=1][b=2]`).
-    fn attrs(&mut self) -> Result<Attrs, ParseError> {
+    fn attrs(&mut self) -> Result<Attrs<'a>, ParseError> {
         let mut attrs = Vec::new();
         while self.eat_punct('[') {
             loop {
@@ -434,8 +458,7 @@ impl Cursor<'_> {
                 let line = self.line();
                 let key = match self.next() {
                     Some(t) => t
-                        .value()
-                        .map(str::to_string)
+                        .into_value()
                         .ok_or_else(|| self.err(span, "expected an attribute name"))?,
                     None => return Err(ParseError::new(line, "unterminated attribute list")),
                 };
@@ -444,8 +467,7 @@ impl Cursor<'_> {
                 let line = self.line();
                 let value = match self.next() {
                     Some(t) => t
-                        .value()
-                        .map(str::to_string)
+                        .into_value()
                         .ok_or_else(|| self.err(vspan, "expected an attribute value"))?,
                     None => return Err(ParseError::new(line, "unterminated attribute list")),
                 };
@@ -473,7 +495,7 @@ struct PendingNode {
 /// `hrms_*` metadata is absent).
 fn node_from_attrs(
     dot_id: &str,
-    attrs: &Attrs,
+    attrs: &Attrs<'_>,
     stmt_span: Span,
     src: &Src<'_>,
 ) -> Result<PendingNode, ParseError> {
@@ -557,12 +579,12 @@ pub fn from_dot_with_spans(input: &str) -> Result<(Ddg, LoopSpans), ParseError> 
     let header_span = cur.span();
     let line = cur.line();
     match cur.next() {
-        Some(Tok::Id(id)) if id == "strict" => match cur.next() {
-            Some(Tok::Id(id)) if id == "digraph" => {}
+        Some(Tok::Id("strict")) => match cur.next() {
+            Some(Tok::Id("digraph")) => {}
             _ => return Err(cur.err(header_span, "expected `digraph`")),
         },
-        Some(Tok::Id(id)) if id == "digraph" => {}
-        Some(Tok::Id(id)) if id == "graph" => {
+        Some(Tok::Id("digraph")) => {}
+        Some(Tok::Id("graph")) => {
             return Err(cur.err(
                 header_span,
                 "undirected `graph` inputs are not dependence graphs; use `digraph`",
@@ -588,8 +610,8 @@ pub fn from_dot_with_spans(input: &str) -> Result<(Ddg, LoopSpans), ParseError> 
             let line = cur.line();
             match cur.next() {
                 Some(t) => t
-                    .value()
-                    .map(str::to_string)
+                    .into_value()
+                    .map(Cow::into_owned)
                     .ok_or_else(|| cur.err(span, "expected a graph name or `{`"))?,
                 None => {
                     return Err(ParseError::new(line, "expected a graph name or `{`"));
@@ -600,19 +622,23 @@ pub fn from_dot_with_spans(input: &str) -> Result<(Ddg, LoopSpans), ParseError> 
     cur.expect_punct('{')?;
 
     let mut nodes: Vec<PendingNode> = Vec::new();
-    let mut ids: Vec<(String, usize)> = Vec::new(); // dot id -> node index
+    // DOT id -> node index, hashed so that interning is O(1) and the whole
+    // import stays linear in the input (with the default hasher, which
+    // resists collisions crafted into untrusted input).
+    let mut ids: HashMap<String, usize> = HashMap::new();
     let mut edges: Vec<(usize, usize, DepKind, u32, Span)> = Vec::new();
     let mut invariants: Option<u32> = None;
     let mut iterations: Option<u64> = None;
 
-    // Creates-or-finds the node for a DOT id referenced by an edge.
+    // Creates-or-finds the node for a DOT id: nodes are numbered in order
+    // of first appearance, whether in a node or an edge statement.
     fn intern(
-        ids: &mut Vec<(String, usize)>,
+        ids: &mut HashMap<String, usize>,
         nodes: &mut Vec<PendingNode>,
         id: &str,
         span: Span,
     ) -> usize {
-        if let Some(&(_, i)) = ids.iter().find(|(n, _)| n == id) {
+        if let Some(&i) = ids.get(id) {
             return i;
         }
         let i = nodes.len();
@@ -624,7 +650,7 @@ pub fn from_dot_with_spans(input: &str) -> Result<(Ddg, LoopSpans), ParseError> 
             invariant_uses: 0,
             span,
         });
-        ids.push((id.to_string(), i));
+        ids.insert(id.to_string(), i);
         i
     }
 
@@ -637,10 +663,10 @@ pub fn from_dot_with_spans(input: &str) -> Result<(Ddg, LoopSpans), ParseError> 
         match tok {
             Tok::Punct('}') => break,
             Tok::Punct(';') => continue,
-            Tok::Id(ref id) if id == "subgraph" => {
+            Tok::Id("subgraph") => {
                 return Err(cur.err(stmt_span, "subgraphs are not supported"));
             }
-            Tok::Id(ref id)
+            Tok::Id(id)
                 if (id == "graph" || id == "node" || id == "edge")
                     && cur.peek() == Some(&Tok::Punct('[')) =>
             {
@@ -661,12 +687,12 @@ pub fn from_dot_with_spans(input: &str) -> Result<(Ddg, LoopSpans), ParseError> 
                 // presentational; ignore them.
             }
             Tok::Id(_) | Tok::Str(_) => {
-                let dot_id = tok.value().expect("id or string").to_string();
+                let dot_id = tok.into_value().expect("id or string");
                 if cur.eat_punct('=') {
                     // Top-level `key=value;` graph attribute (rankdir=TB).
                     let span = cur.span();
                     cur.next()
-                        .and_then(|t| t.value().map(str::to_string))
+                        .and_then(Tok::into_value)
                         .ok_or_else(|| cur.err(span, "expected an attribute value"))?;
                     continue;
                 }
@@ -678,7 +704,7 @@ pub fn from_dot_with_spans(input: &str) -> Result<(Ddg, LoopSpans), ParseError> 
                         let span = cur.span();
                         let target = cur
                             .next()
-                            .and_then(|t| t.value().map(str::to_string))
+                            .and_then(Tok::into_value)
                             .ok_or_else(|| cur.err(span, "expected an edge target"))?;
                         chain.push(intern(&mut ids, &mut nodes, &target, span));
                     }
@@ -978,6 +1004,39 @@ mod tests {
         assert_eq!(spans.nodes[0].line, 2, "node a declared on line 2");
         assert_eq!(spans.nodes[1].line, 3, "node b interned by the edge");
         assert_eq!(spans.edges[0].line, 3);
+    }
+
+    #[test]
+    fn nodes_first_seen_in_edges_keep_first_appearance_order() {
+        // `c`, `a`, `b` first appear in edge statements in that order; the
+        // later node statement for `a` fills in its attributes but does not
+        // move it.
+        let input = "digraph g {\n  c -> a;\n  b -> c -> a;\n  a [hrms_kind=load, hrms_latency=3];\n  d;\n}\n";
+        let (g, spans) = from_dot_with_spans(input).unwrap();
+        let nodes: Vec<String> = g
+            .nodes()
+            .map(|(_, n)| format!("{}:{}:{}", n.name(), n.kind().mnemonic(), n.latency()))
+            .collect();
+        assert_eq!(nodes, ["c:op:1", "a:load:3", "b:op:1", "d:op:1"]);
+        // A node's span is that of the statement that last defined it.
+        let lines: Vec<usize> = spans.nodes.iter().map(|s| s.line).collect();
+        assert_eq!(lines, [2, 4, 3, 5]);
+        let edges: Vec<String> = g
+            .edges()
+            .map(|(_, e)| format!("{}->{}", e.source(), e.target()))
+            .collect();
+        assert_eq!(edges, ["n0->n1", "n2->n0", "n0->n1"]);
+    }
+
+    #[test]
+    fn quoted_ids_unescape_after_a_multibyte_prefix() {
+        // Known escapes fold, unknown ones are kept literally, and text
+        // before the first escape survives a multi-byte character.
+        let input = "digraph \"g é\" { \"pré\\q\\\"x\" -> b; }";
+        let g = from_dot(input).unwrap();
+        assert_eq!(g.name(), "g é");
+        assert_eq!(g.node(NodeId(0)).name(), "pré\\q\"x");
+        assert_eq!(g.node(NodeId(1)).name(), "b");
     }
 
     #[test]

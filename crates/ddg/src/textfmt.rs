@@ -34,6 +34,8 @@
 //! downstream tooling (the `hrms-verify` lint pass) can point semantic
 //! diagnostics back at the input file.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -238,17 +240,19 @@ pub fn write_loops(ddgs: &[Ddg]) -> String {
     out
 }
 
-/// One token of a line: a (possibly quoted) word or the `->` arrow.
+/// One token of a line: a (possibly quoted) word or the `->` arrow. Words
+/// borrow from the line; only a quoted word containing an escape owns its
+/// (unescaped) text.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Token {
+enum Token<'a> {
     /// A bare or quoted word. The flag records whether it was quoted
     /// (quoted words are never keywords).
-    Word(String, bool),
+    Word(Cow<'a, str>, bool),
     /// The `->` edge arrow.
     Arrow,
 }
 
-impl Token {
+impl Token<'_> {
     fn describe(&self) -> String {
         match self {
             Token::Word(w, _) => format!("`{w}`"),
@@ -259,18 +263,27 @@ impl Token {
 
 /// A token plus where it came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct SpTok {
-    tok: Token,
+struct SpTok<'a> {
+    tok: Token<'a>,
     span: Span,
 }
 
-impl SpTok {
+impl<'a> SpTok<'a> {
     /// The word's text. Only meaningful for [`Token::Word`] tokens; callers
     /// go through [`word`] first.
     fn text(&self) -> &str {
         match &self.tok {
             Token::Word(w, _) => w,
             Token::Arrow => "->",
+        }
+    }
+
+    /// The word's text as a `Cow` tied to the input (a borrowed word is
+    /// copied for free).
+    fn cow(&self) -> Cow<'a, str> {
+        match &self.tok {
+            Token::Word(w, _) => w.clone(),
+            Token::Arrow => Cow::Borrowed("->"),
         }
     }
 }
@@ -309,10 +322,13 @@ impl LineCtx<'_> {
     }
 }
 
-/// Splits one line into tokens, honouring quotes and `#` comments.
-fn tokenize(ctx: &LineCtx<'_>) -> Result<Vec<SpTok>, ParseError> {
-    let mut tokens = Vec::new();
-    let mut chars = ctx.line.char_indices().peekable();
+/// Splits one line into `tokens` (cleared first, so one buffer serves a
+/// whole file), honouring quotes and `#` comments. Cost: one pass over the
+/// line, with no allocation except for quoted words that contain escapes.
+fn tokenize<'a>(ctx: &LineCtx<'a>, tokens: &mut Vec<SpTok<'a>>) -> Result<(), ParseError> {
+    tokens.clear();
+    let line = ctx.line;
+    let mut chars = line.char_indices().peekable();
     let mut col = 1usize;
     while let Some(&(i, c)) = chars.peek() {
         if c.is_whitespace() {
@@ -322,77 +338,77 @@ fn tokenize(ctx: &LineCtx<'_>) -> Result<Vec<SpTok>, ParseError> {
             break;
         } else if c == '"' {
             let (start, start_col) = (i, col);
+            let unterminated = |col: usize| {
+                let span = Span::new(ctx.lineno, start_col, ctx.base + start, col - start_col);
+                ctx.err_at(span, "unterminated string")
+            };
             chars.next();
             col += 1;
-            let mut word = String::new();
-            loop {
+            // The unescaped text, once an escape forces a copy.
+            let mut owned: Option<String> = None;
+            let word = loop {
                 match chars.next() {
-                    None => {
-                        let span =
-                            Span::new(ctx.lineno, start_col, ctx.base + start, col - start_col);
-                        return Err(ctx.err_at(span, "unterminated string"));
-                    }
-                    Some((_, '"')) => {
+                    None => return Err(unterminated(col)),
+                    Some((j, '"')) => {
                         col += 1;
-                        break;
+                        break match owned {
+                            Some(w) => Cow::Owned(w),
+                            None => Cow::Borrowed(&line[start + 1..j]),
+                        };
                     }
-                    Some((_, '\\')) => {
+                    Some((j, '\\')) => {
                         col += 1;
+                        let w = owned.get_or_insert_with(|| line[start + 1..j].to_string());
                         match chars.next() {
-                            Some((_, '\\')) => word.push('\\'),
-                            Some((_, '"')) => word.push('"'),
-                            Some((_, 'n')) => word.push('\n'),
-                            Some((_, 't')) => word.push('\t'),
-                            Some((j, other)) => {
-                                let span = Span::new(ctx.lineno, col - 1, ctx.base + j - 1, 2);
+                            Some((_, '\\')) => w.push('\\'),
+                            Some((_, '"')) => w.push('"'),
+                            Some((_, 'n')) => w.push('\n'),
+                            Some((_, 't')) => w.push('\t'),
+                            Some((k, other)) => {
+                                let span = Span::new(ctx.lineno, col - 1, ctx.base + k - 1, 2);
                                 return Err(ctx.err_at(
                                     span,
                                     format!("unknown escape `\\{other}` in string"),
                                 ));
                             }
-                            None => {
-                                let span = Span::new(
-                                    ctx.lineno,
-                                    start_col,
-                                    ctx.base + start,
-                                    col - start_col,
-                                );
-                                return Err(ctx.err_at(span, "unterminated string"));
-                            }
+                            None => return Err(unterminated(col)),
                         }
                         col += 1;
                     }
                     Some((_, ch)) => {
                         col += 1;
-                        word.push(ch);
+                        if let Some(w) = &mut owned {
+                            w.push(ch);
+                        }
                     }
                 }
-            }
+            };
             tokens.push(SpTok {
                 tok: Token::Word(word, true),
                 span: Span::new(ctx.lineno, start_col, ctx.base + start, col - start_col),
             });
         } else {
             let (start, start_col) = (i, col);
-            let mut word = String::new();
-            while let Some(&(_, c)) = chars.peek() {
+            let mut end = line.len();
+            while let Some(&(j, c)) = chars.peek() {
                 if c.is_whitespace() || c == '#' || c == '"' {
+                    end = j;
                     break;
                 }
-                word.push(c);
                 chars.next();
                 col += 1;
             }
+            let word = &line[start..end];
             let span = Span::new(ctx.lineno, start_col, ctx.base + start, col - start_col);
             let tok = if word == "->" {
                 Token::Arrow
             } else {
-                Token::Word(word, false)
+                Token::Word(Cow::Borrowed(word), false)
             };
             tokens.push(SpTok { tok, span });
         }
     }
-    Ok(tokens)
+    Ok(())
 }
 
 /// A tokenized word plus its source location: the shared lexical layer of
@@ -430,15 +446,14 @@ pub fn tokenize_line(
         lineno,
         base: line_offset,
     };
-    Ok(tokenize(&ctx)?
-        .into_iter()
-        .map(|st| {
-            let quoted = matches!(st.tok, Token::Word(_, true));
-            RawToken {
-                text: st.text().to_string(),
-                quoted,
-                span: st.span,
-            }
+    let mut tokens = Vec::new();
+    tokenize(&ctx, &mut tokens)?;
+    Ok(tokens
+        .iter()
+        .map(|st| RawToken {
+            text: st.text().to_string(),
+            quoted: matches!(st.tok, Token::Word(_, true)),
+            span: st.span,
         })
         .collect())
 }
@@ -456,42 +471,37 @@ pub fn line_span(line: &str, lineno: usize, line_offset: usize) -> Span {
 }
 
 /// State of the `loop` block currently being parsed.
-struct Block {
+struct Block<'a> {
     builder: DdgBuilder,
-    /// name → id, for edge endpoint resolution (duplicate names are
-    /// rejected at `build` time; first wins for resolution here).
-    names: Vec<(String, NodeId)>,
+    /// name → id, for edge endpoint resolution: hashed, so a block parses
+    /// in time linear in its size (duplicate names are rejected at `build`
+    /// time; the first declaration wins for resolution here). The default
+    /// hasher stays: names come from untrusted input, and it resists
+    /// crafted collisions.
+    names: HashMap<Cow<'a, str>, NodeId>,
     start_line: usize,
     spans: LoopSpans,
-}
-
-impl Block {
-    fn lookup(&self, name: &str) -> Option<NodeId> {
-        self.names
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, id)| id)
-    }
 }
 
 /// One parsed attribute: key, optional value, and the token's span.
 type Attr<'t> = (&'t str, Option<&'t str>, Span);
 
-/// Parses `key=value` attributes and flags from the tail of a line.
-fn parse_attrs<'t>(ctx: &LineCtx<'_>, tokens: &'t [SpTok]) -> Result<Vec<Attr<'t>>, ParseError> {
-    let mut attrs = Vec::new();
-    for t in tokens {
-        match &t.tok {
-            Token::Word(w, false) => match w.split_once('=') {
-                Some((k, v)) => attrs.push((k, Some(v), t.span)),
-                None => attrs.push((w.as_str(), None, t.span)),
-            },
-            other => {
-                return Err(ctx.err_at(t.span, format!("unexpected token {}", other.describe())))
-            }
-        }
+/// Parses `key=value` attributes and flags from the tail of a line. Every
+/// token is checked to be a bare word before any attribute is returned.
+fn parse_attrs<'t>(
+    ctx: &LineCtx<'_>,
+    tokens: &'t [SpTok<'_>],
+) -> Result<impl Iterator<Item = Attr<'t>>, ParseError> {
+    if let Some(t) = tokens
+        .iter()
+        .find(|t| !matches!(t.tok, Token::Word(_, false)))
+    {
+        return Err(ctx.err_at(t.span, format!("unexpected token {}", t.tok.describe())));
     }
-    Ok(attrs)
+    Ok(tokens.iter().map(|t| match t.text().split_once('=') {
+        Some((k, v)) => (k, Some(v), t.span),
+        None => (t.text(), None, t.span),
+    }))
 }
 
 fn parse_num<T: std::str::FromStr>(
@@ -504,7 +514,11 @@ fn parse_num<T: std::str::FromStr>(
         .map_err(|_| ctx.err_at(span, format!("invalid {what} `{v}`")))
 }
 
-fn word<'t>(ctx: &LineCtx<'_>, t: Option<&'t SpTok>, what: &str) -> Result<&'t SpTok, ParseError> {
+fn word<'t, 'a>(
+    ctx: &LineCtx<'_>,
+    t: Option<&'t SpTok<'a>>,
+    what: &str,
+) -> Result<&'t SpTok<'a>, ParseError> {
     match t {
         Some(st) => match &st.tok {
             Token::Word(_, _) => Ok(st),
@@ -529,6 +543,7 @@ fn word<'t>(ctx: &LineCtx<'_>, t: Option<&'t SpTok>, what: &str) -> Result<&'t S
 pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, ParseError> {
     let mut loops = Vec::new();
     let mut block: Option<Block> = None;
+    let mut tokens = Vec::new();
     let mut base = 0usize;
     for (i, raw) in input.split_inclusive('\n').enumerate() {
         let lineno = i + 1;
@@ -538,12 +553,12 @@ pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, Pars
             .unwrap_or(raw);
         let ctx = LineCtx { line, lineno, base };
         base += raw.len();
-        let tokens = tokenize(&ctx)?;
+        tokenize(&ctx, &mut tokens)?;
         let Some(first) = tokens.first() else {
             continue;
         };
         let keyword = match &first.tok {
-            Token::Word(w, false) => w.as_str(),
+            Token::Word(w, false) => w.as_ref(),
             other => {
                 return Err(ctx.err_at(
                     first.span,
@@ -565,7 +580,7 @@ pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, Pars
                 }
                 *slot = Some(Block {
                     builder: DdgBuilder::new(name.text()),
-                    names: Vec::new(),
+                    names: HashMap::new(),
                     start_line: lineno,
                     spans: LoopSpans {
                         header: ctx.span_all(),
@@ -593,7 +608,7 @@ pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, Pars
                     .invariants(parse_num(&ctx, v.text(), v.span, "invariant count")?);
             }
             ("node", Some(b)) => {
-                let name = word(&ctx, tokens.get(1), "a node name")?.text().to_string();
+                let name = word(&ctx, tokens.get(1), "a node name")?.cow();
                 let kind_tok = word(&ctx, tokens.get(2), "an operation kind")?;
                 let kind_word = kind_tok.text();
                 let kind = OpKind::from_mnemonic(kind_word).ok_or_else(|| {
@@ -622,14 +637,14 @@ pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, Pars
                 let latency = latency
                     .ok_or_else(|| ctx.err(format!("node `{name}` is missing latency=N")))?;
                 let id = if no_result {
-                    b.builder.node_no_result(name.clone(), kind, latency)
+                    b.builder.node_no_result(name.as_ref(), kind, latency)
                 } else {
-                    b.builder.node(name.clone(), kind, latency)
+                    b.builder.node(name.as_ref(), kind, latency)
                 };
                 if invariant_uses > 0 {
                     b.builder.node_invariant_uses(id, invariant_uses);
                 }
-                b.names.push((name, id));
+                b.names.entry(name).or_insert(id);
                 b.spans.nodes.push(ctx.span_all());
             }
             ("edge", Some(b)) => {
@@ -657,13 +672,13 @@ pub fn parse_loops_with_spans(input: &str) -> Result<Vec<(Ddg, LoopSpans)>, Pars
                         }
                     }
                 }
-                let src = b.lookup(src_tok.text()).ok_or_else(|| {
+                let src = b.names.get(src_tok.text()).copied().ok_or_else(|| {
                     ctx.err_at(
                         src_tok.span,
                         format!("edge references unknown node `{}`", src_tok.text()),
                     )
                 })?;
-                let dst = b.lookup(dst_tok.text()).ok_or_else(|| {
+                let dst = b.names.get(dst_tok.text()).copied().ok_or_else(|| {
                     ctx.err_at(
                         dst_tok.span,
                         format!("edge references unknown node `{}`", dst_tok.text()),
@@ -906,12 +921,59 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_names_resolve_edges_to_the_first_declaration() {
+        // The second `a` is a store (defines no value): were the edge
+        // resolved to it, the flow edge would fail on line 5. First-wins
+        // resolution lets the edge through, and the block is rejected at
+        // `end` for the duplicate name instead.
+        let text = "loop l\nnode a fadd latency=1\nnode a store latency=1\nnode b fmul latency=2\nedge a -> b flow\nend\n";
+        let err = parse_loops(text).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 6, col 1: invalid loop: duplicate operation name `a`\n  |  end\n  |  ^^^"
+        );
+    }
+
+    #[test]
     fn escapes_round_trip_in_names() {
         let mut b = DdgBuilder::new("esc");
         b.node("a\"b\\c\nd\te", OpKind::FpAdd, 1);
         let g = b.build().unwrap();
         let back = parse_loop(&write_loop(&g)).unwrap();
         assert_eq!(back.node(NodeId(0)).name(), "a\"b\\c\nd\te");
+    }
+
+    #[test]
+    fn tokens_borrow_or_unescape_with_exact_spans() {
+        // A multi-byte prefix before the first escape, an escape-free
+        // quoted word and a bare word: texts, quoting and character spans.
+        let line = "  node \"aé\\\"b\\n\" \"plain\" x->y # c";
+        let toks = tokenize_line(line, 3, 100).unwrap();
+        let got: Vec<(&str, bool, usize, usize, usize)> = toks
+            .iter()
+            .map(|t| {
+                (
+                    t.text.as_str(),
+                    t.quoted,
+                    t.span.col,
+                    t.span.offset,
+                    t.span.len,
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("node", false, 3, 102, 4),
+                ("aé\"b\n", true, 8, 107, 9),
+                ("plain", true, 18, 118, 7),
+                ("x->y", false, 26, 126, 4),
+            ]
+        );
+        let err = tokenize_line("\"aé\\q\"", 1, 0).unwrap_err();
+        let span = err.span.unwrap();
+        assert_eq!((span.col, span.offset, span.len), (4, 4, 2));
+        assert!(err.message.contains("unknown escape `\\q`"), "{err}");
     }
 
     #[test]

@@ -186,28 +186,47 @@ impl Service {
         }
     }
 
-    /// Parses every loop entry, flattening multi-loop `.loop` entries in
-    /// order. A parse failure rejects the whole request (the index ↔ loop
-    /// correspondence would otherwise be ambiguous) with span diagnostics
-    /// for the offending entry.
-    fn parse_request_loops(id: &Value, entries: &[String]) -> Result<Vec<Ddg>, Box<RequestError>> {
-        let mut loops = Vec::new();
-        for (i, text) in entries.iter().enumerate() {
-            let path = format!("loops[{i}]");
-            let parsed = if looks_like_dot(text) {
-                dot::from_dot(text).map(|g| vec![g]).map_err(|e| (e, true))
+    /// Parses and fingerprints every loop entry on the worker pool,
+    /// flattening multi-loop `.loop` entries in order. A parse failure
+    /// rejects the whole request (the index ↔ loop correspondence would
+    /// otherwise be ambiguous) with span diagnostics for the offending
+    /// entry; results are examined in input order, so when several entries
+    /// fail, the first one is reported, as if they had been parsed one by
+    /// one.
+    fn parse_request_loops(
+        &self,
+        id: &Value,
+        entries: &[String],
+    ) -> Result<(Vec<Ddg>, Vec<u64>), Box<RequestError>> {
+        let parsed = self.engine.map(entries, |_, text| {
+            let is_dot = looks_like_dot(text);
+            let parsed = if is_dot {
+                dot::from_dot(text).map(|g| vec![g])
             } else {
-                parse_loops(text).map_err(|e| (e, false))
+                parse_loops(text)
             };
+            parsed
+                .map(|loops| {
+                    let fps: Vec<u64> = loops.iter().map(ddg_fingerprint).collect();
+                    (loops, fps)
+                })
+                .map_err(|e| (e, is_dot))
+        });
+        let (mut loops, mut fps) = (Vec::new(), Vec::new());
+        for (i, (text, parsed)) in entries.iter().zip(parsed).enumerate() {
             match parsed {
-                Ok(parsed) if parsed.is_empty() => {
+                Ok((parsed, _)) if parsed.is_empty() => {
                     return Err(Box::new(RequestError::new(
                         id.clone(),
-                        format!("{path} contains no loops"),
+                        format!("loops[{i}] contains no loops"),
                     )));
                 }
-                Ok(parsed) => loops.extend(parsed),
+                Ok((parsed, parsed_fps)) => {
+                    loops.extend(parsed);
+                    fps.extend(parsed_fps);
+                }
                 Err((e, is_dot)) => {
+                    let path = format!("loops[{i}]");
                     let lints = if is_dot {
                         lint_dot_source(text, None)
                     } else {
@@ -221,7 +240,7 @@ impl Service {
                 }
             }
         }
-        Ok(loops)
+        Ok((loops, fps))
     }
 
     fn handle_schedule(&mut self, request: &ScheduleRequest) -> Result<Vec<String>, RequestError> {
@@ -250,11 +269,12 @@ impl Service {
             .iter()
             .map(|text| resolve_machine_request(id, text))
             .collect::<Result<Vec<Machine>, RequestError>>()?;
-        let loops = Self::parse_request_loops(id, &request.loops).map_err(|e| *e)?;
+        let (loops, core_fps) = self
+            .parse_request_loops(id, &request.loops)
+            .map_err(|e| *e)?;
 
         self.requests += 1;
         let scheduler_name = scheduler.name().to_string();
-        let core_fps: Vec<u64> = loops.iter().map(ddg_fingerprint).collect();
         let machine_digests: Vec<u64> = machines.iter().map(machine_fingerprint).collect();
         // Cells are loop-major: the record for loop `l` on machine `m` has
         // index `l * machines.len() + m`, so single-machine requests keep
@@ -348,12 +368,16 @@ impl Service {
     ) -> HashMap<u64, CellBody> {
         let mut bodies: HashMap<u64, CellBody> = HashMap::new();
         let mut to_schedule: Vec<usize> = Vec::new();
+        // The keys of `to_schedule`, so a batch-local duplicate is found in
+        // O(1) rather than by a scan of the pending cells.
+        let mut pending: HashSet<u64> = HashSet::new();
         for (i, &key) in keys.iter().enumerate() {
-            if bodies.contains_key(&key) || to_schedule.iter().any(|&j| keys[j] == key) {
+            if bodies.contains_key(&key) || pending.contains(&key) {
                 self.cache.count_reuse_hit();
             } else if let Some(cached) = self.cache.get(key) {
                 bodies.insert(key, CellBody::Ok(cached.clone()));
             } else {
+                pending.insert(key);
                 to_schedule.push(i);
             }
         }

@@ -565,3 +565,34 @@ fn the_unix_socket_transport_speaks_the_same_protocol() {
     server.join().expect("server thread exits after shutdown");
     assert!(!path.exists(), "socket file removed on clean shutdown");
 }
+
+#[test]
+fn the_first_failing_loop_entry_is_the_one_reported() {
+    // `loops[1]` (a `.loop` entry) and `loops[3]` (a DOT entry) both fail
+    // to parse; the request error names `loops[1]` with its diagnostics,
+    // whatever order the entries were parsed in.
+    let mut service = Service::new(&ServeConfig {
+        workers: Some(2),
+        ..ServeConfig::default()
+    });
+    let entries = [
+        loop_text("ok0"),
+        "loop bad1\nnode a fadd latency=1\nedge a -> zz flow\nend\n".to_string(),
+        loop_text("ok2"),
+        "digraph bad3 { a [hrms_kind=zzz]; }\n".to_string(),
+        loop_text("ok4"),
+    ];
+    let (out, _) = service.process(&schedule_request("7", &entries));
+    assert_eq!(
+        out,
+        concat!(
+            r#"{"type":"error","id":7,"stage":"request","error":"loops[1] does not parse: "#,
+            r#"line 3, col 11: edge references unknown node `zz`\n  |  edge a -> zz flow\n  |            ^^","#,
+            r#""diagnostics":[{"file":"loops[1]","code":"L001","severity":"error","#,
+            r#""message":"edge references unknown node `zz`","line":3,"col":11,"offset":42,"len":2,"notes":[]}]}"#,
+            "\n"
+        )
+    );
+    // Nothing was scheduled or counted for the rejected request.
+    assert_eq!(service.cache_stats().misses, 0);
+}
