@@ -9,14 +9,16 @@
 //! (`schedule_at_ii_reference`) on loops of ≥ 500 operations; the measured
 //! margin is recorded in `docs/ARCHITECTURE.md`'s Performance section. The
 //! analysis-construction group measures the one-off cost of building the
-//! shared cache so the placement win can be judged net of it. CI runs this
+//! shared cache so the placement win can be judged net of it, and the
+//! schedule-metrics group the per-schedule cost of `MaxLive`, buffers and
+//! lifetimes that every `ScheduleOutcome` carries. CI runs this
 //! bench with `-- --test` as a single-sample smoke check.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hrms_core::{schedule_at_ii_reference, schedule_at_ii_with, HrmsScheduler};
 use hrms_ddg::{Ddg, LoopAnalysis, NodeId};
 use hrms_machine::presets;
-use hrms_modsched::MiiInfo;
+use hrms_modsched::{MiiInfo, ModuloScheduler, ScheduleMetrics};
 use hrms_workloads::synthetic;
 
 /// The first II at or above the MII that the scheduling step accepts for
@@ -74,9 +76,31 @@ fn bench_loop_analysis_construction(c: &mut Criterion) {
     group.finish();
 }
 
+/// `ScheduleMetrics::compute` on each stress loop's HRMS schedule: the
+/// lifetime analysis behind `MaxLive`, which every `ScheduleOutcome` pays
+/// and which servebench's `placement` layer includes.
+fn bench_schedule_metrics(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stress_schedule_metrics");
+    group.sample_size(30);
+    let machine = presets::govindarajan();
+    for ddg in synthetic::stress_suite() {
+        let ops = ddg.num_nodes();
+        let outcome = HrmsScheduler::new()
+            .schedule_loop(&ddg, &machine)
+            .unwrap_or_else(|e| panic!("stress loop `{}` failed: {e}", ddg.name()));
+        group.bench_with_input(BenchmarkId::new("compute", ops), &ddg, |b, ddg| {
+            b.iter(|| {
+                ScheduleMetrics::compute(std::hint::black_box(ddg), &outcome.schedule, outcome.mii)
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_placement_dense_vs_reference,
-    bench_loop_analysis_construction
+    bench_loop_analysis_construction,
+    bench_schedule_metrics
 );
 criterion_main!(benches);

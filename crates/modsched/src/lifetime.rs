@@ -12,6 +12,11 @@
 //! * the *buffer* count (the metric of Govindarajan et al. used by Table 1)
 //!   charges each value one buffer per issue of its producer before the last
 //!   consumer's issue, plus one buffer per store.
+//!
+//! [`LifetimeAnalysis::analyze`] costs O(V + E + II) for V operations, E
+//! dependence edges and initiation interval II: the per-row live counts
+//! come from one sweep over the values and one prefix sum over the kernel
+//! rows, never from a rows × values table.
 
 use hrms_ddg::{Ddg, NodeId, OpKind};
 
@@ -70,6 +75,48 @@ impl ValueLifetime {
     }
 }
 
+/// Number of live loop-variant instances at each kernel row `0..ii`: row
+/// `r` holds Σ [`ValueLifetime::live_instances_at`]`(ii, r)` over
+/// `lifetimes`, computed in O(values + II) instead of O(values × II).
+///
+/// A lifetime of length `len > 0` occupies the `len` consecutive cycles
+/// `start..end`, so it covers every row `len / II` times (added to a shared
+/// base) plus the `len mod II` rows that follow `start mod II` once more.
+/// Those rows form a circular range, recorded as ±1 marks in a difference
+/// array (split in two when it wraps past row `II − 1`); a prefix sum over
+/// the rows adds them up.
+fn live_per_row(lifetimes: &[ValueLifetime], ii: u32) -> Vec<u64> {
+    let rows = ii as usize;
+    let ii = i64::from(ii);
+    let mut base = 0u64;
+    let mut marks = vec![0i64; rows + 1];
+    for l in lifetimes {
+        let len = l.length();
+        if len <= 0 {
+            continue;
+        }
+        base += (len / ii) as u64;
+        let first = l.start.rem_euclid(ii) as usize;
+        let past = first + (len % ii) as usize;
+        marks[first] += 1;
+        if past <= rows {
+            marks[past] -= 1;
+        } else {
+            marks[rows] -= 1;
+            marks[0] += 1;
+            marks[past - rows] -= 1;
+        }
+    }
+    let mut partial = 0i64;
+    marks[..rows]
+        .iter()
+        .map(|&m| {
+            partial += m;
+            base + partial as u64
+        })
+        .collect()
+}
+
 /// Lifetime analysis of one schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LifetimeAnalysis {
@@ -83,6 +130,9 @@ pub struct LifetimeAnalysis {
 impl LifetimeAnalysis {
     /// Analyses the lifetimes of every loop variant of `ddg` under
     /// `schedule`.
+    ///
+    /// Costs O(V + E + II): one pass over the values and their consumers,
+    /// then one prefix sum over the kernel rows.
     ///
     /// Values that are produced but never consumed through a register flow
     /// edge have an empty lifetime and contribute nothing to `MaxLive`
@@ -111,9 +161,7 @@ impl LifetimeAnalysis {
                 });
             }
         }
-        let live_per_row: Vec<u64> = (0..ii)
-            .map(|row| lifetimes.iter().map(|l| l.live_instances_at(ii, row)).sum())
-            .collect();
+        let live_per_row = live_per_row(&lifetimes, ii);
         let num_stores = ddg
             .nodes()
             .filter(|(_, n)| n.kind() == OpKind::Store)
@@ -275,6 +323,107 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// An analysis over hand-made lifetimes, through the same row sweep as
+    /// [`LifetimeAnalysis::analyze`].
+    fn analysis_of(ii: u32, lifetimes: Vec<ValueLifetime>) -> LifetimeAnalysis {
+        LifetimeAnalysis {
+            ii,
+            live_per_row: live_per_row(&lifetimes, ii),
+            lifetimes,
+            num_stores: 0,
+            invariants: 0,
+        }
+    }
+
+    #[test]
+    fn row_sweep_matches_the_closed_form_on_random_lifetimes() {
+        // SplitMix64: a fixed, dependency-free stream of test cases.
+        let mut state = 0x5eed_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let mut wrapped = 0;
+        for case in 0..400 {
+            let ii = if case % 10 == 0 {
+                1
+            } else {
+                1 + next(40) as u32
+            };
+            let span = i64::from(ii);
+            let lifetimes: Vec<ValueLifetime> = (0..next(24))
+                .map(|i| {
+                    let start = next(400) as i64 - 200;
+                    let len = match next(4) {
+                        // An exact multiple of II (zero included).
+                        0 => span * next(4) as i64,
+                        // Empty or inverted.
+                        1 => -(next(6) as i64),
+                        // Short or long, wrapping or not.
+                        _ => next(4 * span as u64 + 4) as i64,
+                    };
+                    ValueLifetime {
+                        producer: NodeId(i as u32),
+                        start,
+                        end: start + len,
+                    }
+                })
+                .collect();
+            wrapped += lifetimes
+                .iter()
+                .filter(|l| l.length() > 0 && l.start.rem_euclid(span) + l.length() % span > span)
+                .count();
+            let lt = analysis_of(ii, lifetimes);
+            let mut max = 0;
+            for row in 0..ii {
+                let closed_form: u64 = lt
+                    .lifetimes()
+                    .iter()
+                    .map(|l| l.live_instances_at(ii, row))
+                    .sum();
+                assert_eq!(
+                    lt.live_at_row(row),
+                    closed_form,
+                    "case {case}: ii={ii} row={row} lifetimes={:?}",
+                    lt.lifetimes()
+                );
+                max = max.max(closed_form);
+            }
+            assert_eq!(lt.max_live(), max, "case {case}");
+        }
+        assert!(wrapped > 100, "the cases must exercise wrapping ranges");
+    }
+
+    #[test]
+    fn row_sweep_splits_a_range_that_wraps_past_the_last_row() {
+        // II = 4, lifetime [-3, 7): cycles -3..=6 cover rows 1,2,3,0,1,2,3,
+        // 0,1,2, i.e. two full turns (base 2) plus rows 1 and 2 once more.
+        let lt = analysis_of(
+            4,
+            vec![ValueLifetime {
+                producer: NodeId(0),
+                start: -3,
+                end: 7,
+            }],
+        );
+        let rows: Vec<u64> = (0..4).map(|r| lt.live_at_row(r)).collect();
+        assert_eq!(rows, [2, 3, 3, 2]);
+        // [3, 6) at II = 4 wraps: rows 3 and 0, then 1.
+        let lt = analysis_of(
+            4,
+            vec![ValueLifetime {
+                producer: NodeId(0),
+                start: 3,
+                end: 6,
+            }],
+        );
+        let rows: Vec<u64> = (0..4).map(|r| lt.live_at_row(r)).collect();
+        assert_eq!(rows, [1, 1, 0, 1]);
     }
 
     #[test]

@@ -21,7 +21,9 @@ use std::collections::HashSet;
 
 use hrms_ddg::{Ddg, DdgBuilder, DepKind, NodeId, OpKind};
 use hrms_machine::Machine;
-use hrms_modsched::{LifetimeAnalysis, ModuloScheduler, SchedError, ScheduleOutcome};
+use hrms_modsched::{
+    LifetimeAnalysis, ModuloScheduler, SchedError, ScheduleMetrics, ScheduleOutcome,
+};
 
 use crate::pressure::PressureKind;
 
@@ -66,11 +68,16 @@ pub struct SpillResult {
 impl SpillResult {
     /// Final register pressure (of the configured kind).
     pub fn registers(&self, kind: PressureKind) -> u64 {
-        let lt = LifetimeAnalysis::analyze(&self.ddg, &self.outcome.schedule);
-        match kind {
-            PressureKind::VariantsOnly => lt.max_live(),
-            PressureKind::VariantsAndInvariants => lt.max_live_with_invariants(),
-        }
+        pressure(&self.outcome.metrics, kind)
+    }
+}
+
+/// The register pressure of the configured kind, read from the metrics the
+/// scheduler already computed for the same body and schedule.
+fn pressure(metrics: &ScheduleMetrics, kind: PressureKind) -> u64 {
+    match kind {
+        PressureKind::VariantsOnly => metrics.max_live,
+        PressureKind::VariantsAndInvariants => metrics.max_live_with_invariants,
     }
 }
 
@@ -93,14 +100,10 @@ pub fn schedule_with_register_budget(
     loop {
         rounds += 1;
         let outcome = scheduler.schedule_loop(&current, machine)?;
-        let lt = LifetimeAnalysis::analyze(&current, &outcome.schedule);
-        let pressure = match config.kind {
-            PressureKind::VariantsOnly => lt.max_live(),
-            PressureKind::VariantsAndInvariants => lt.max_live_with_invariants(),
-        };
-        if pressure <= config.registers || rounds >= config.max_rounds {
+        let fits = pressure(&outcome.metrics, config.kind) <= config.registers;
+        if fits || rounds >= config.max_rounds {
             return Ok(SpillResult {
-                fits: pressure <= config.registers,
+                fits,
                 spilled_values: spilled.len(),
                 rounds,
                 ddg: current,
@@ -111,6 +114,7 @@ pub fn schedule_with_register_budget(
         // Pick the unspilled value with the longest lifetime. Values that
         // live for less than one II occupy a single register and cannot be
         // improved by spilling, so only multi-II lifetimes are candidates.
+        let lt = LifetimeAnalysis::analyze(&current, &outcome.schedule);
         let ii = i64::from(outcome.schedule.ii());
         let victim = lt
             .lifetimes()
@@ -273,6 +277,14 @@ mod tests {
         );
         validate_schedule(&result.ddg, &m, &result.outcome.schedule).unwrap();
         assert!(result.registers(PressureKind::VariantsAndInvariants) <= budget);
+        // The pressure read from the outcome's metrics is that of the final,
+        // spilled body.
+        let lt = LifetimeAnalysis::analyze(&result.ddg, &result.outcome.schedule);
+        assert_eq!(result.registers(PressureKind::VariantsOnly), lt.max_live());
+        assert_eq!(
+            result.registers(PressureKind::VariantsAndInvariants),
+            lt.max_live_with_invariants()
+        );
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   any modulo slot.
 //! * `S004` — the II is at least the loop's MII, re-derived via
 //!   [`MiiInfo`] (which fails when RecMII is undefined).
-//! * `S005` — MaxLive from the lifetime table equals the loop-variant
-//!   register count measured independently by the register-pressure pass.
+//! * `S005` — MaxLive from the lifetime analysis (a linear sweep over the
+//!   kernel rows) equals an independent per-row recount of the closed-form
+//!   live-instance counts of the same lifetimes.
 //! * `S006` — modulo-variable-expansion renaming is consistent and the
 //!   expanded kernel's register count matches `mve_registers`.
 //!
@@ -31,7 +32,7 @@ use hrms_machine::{machine_fingerprint, Machine};
 use hrms_modsched::{
     push_json_str, schedule_violations, LifetimeAnalysis, MiiInfo, Schedule, ValidationError,
 };
-use hrms_regalloc::{mve_registers, mve_unroll_factor, ExpandedKernel, RegisterPressure};
+use hrms_regalloc::{mve_registers, mve_unroll_factor, ExpandedKernel};
 
 use crate::diag::{Code, Diagnostic};
 
@@ -303,20 +304,31 @@ pub fn certify(ddg: &Ddg, machine: &Machine, schedule: &Schedule) -> Certificate
         }
     }
 
-    // S005: MaxLive re-derived two independent ways must agree.
+    // S005: MaxLive re-derived two independent ways must agree: the
+    // analysis's row sweep against a per-row recount of the closed-form
+    // instance counts of the same lifetimes.
     let lifetimes = LifetimeAnalysis::analyze(ddg, schedule);
-    let pressure = RegisterPressure::measure(ddg, schedule);
+    let recount = (0..ii)
+        .map(|row| {
+            lifetimes
+                .lifetimes()
+                .iter()
+                .map(|l| l.live_instances_at(ii, row))
+                .sum::<u64>()
+        })
+        .max()
+        .unwrap_or(0);
     cert.max_live = lifetimes.max_live();
     cert.buffers = lifetimes.buffers();
     check(
         &mut cert,
         Code::S005,
         "max-live",
-        lifetimes.max_live() == pressure.variants,
+        lifetimes.max_live() == recount,
         format!(
             "lifetime table MaxLive = {}, pressure scan = {}",
             lifetimes.max_live(),
-            pressure.variants
+            recount
         ),
     );
 

@@ -72,6 +72,45 @@ fn metrics_are_internally_consistent() {
 }
 
 #[test]
+fn live_rows_match_the_closed_form_on_the_reference_suite() {
+    // The analysis's row sweep against Σ live_instances_at, row by row, on
+    // every schedule of the 24 reference loops × 7 schedulers × both paper
+    // machines.
+    let machines = [presets::govindarajan(), presets::perfect_club()];
+    let schedulers = all_schedulers();
+    assert_eq!(schedulers.len(), 7);
+    let loops = reference24::all();
+    assert_eq!(loops.len(), 24);
+    for ddg in &loops {
+        for machine in &machines {
+            for scheduler in &schedulers {
+                let outcome = scheduler.schedule_loop(ddg, machine).unwrap_or_else(|e| {
+                    panic!("{} failed on `{}`: {e}", scheduler.name(), ddg.name())
+                });
+                let lt = LifetimeAnalysis::analyze(ddg, &outcome.schedule);
+                let ii = lt.ii();
+                for row in 0..ii {
+                    let closed_form: u64 = lt
+                        .lifetimes()
+                        .iter()
+                        .map(|l| l.live_instances_at(ii, row))
+                        .sum();
+                    assert_eq!(
+                        lt.live_at_row(row),
+                        closed_form,
+                        "{} on `{}` ({}), row {row} of II {ii}",
+                        scheduler.name(),
+                        ddg.name(),
+                        machine.name()
+                    );
+                }
+                assert_eq!(outcome.metrics.max_live, lt.max_live());
+            }
+        }
+    }
+}
+
+#[test]
 fn rotating_allocation_succeeds_on_every_hrms_schedule() {
     let machine = presets::perfect_club();
     let hrms = HrmsScheduler::new();
